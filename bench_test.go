@@ -383,18 +383,15 @@ func BenchmarkMachineRun(b *testing.B) {
 }
 
 // BenchmarkMachineRunParallel is BenchmarkMachineRun under the speculative
-// parallel scheduler with four workers — the configuration BENCH_pr7.json
-// records and the CI regression gate watches. On a single-CPU host the
-// worker count clamps to GOMAXPROCS and the speculation runs inline; the
-// speedup over BenchmarkMachineRun is then purely algorithmic (leased
-// stretches skip the per-visited-cycle calendar machinery).
+// parallel scheduler, which the CI regression gate watches. The speedup
+// over BenchmarkMachineRun is purely algorithmic: leased stretches skip
+// the per-visited-cycle calendar machinery.
 func BenchmarkMachineRunParallel(b *testing.B) {
 	for _, name := range suite.Names() {
 		for _, model := range []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO} {
 			b.Run(fmt.Sprintf("%s/%s", name, model), func(b *testing.B) {
 				cfg := model.MachineConfig(machine.DefaultConfig())
 				cfg.Sched = machine.SchedParallel
-				cfg.Workers = 4
 				var cycles uint64
 				for i := 0; i < b.N; i++ {
 					set := benchTrace(b, name)

@@ -9,7 +9,7 @@
 //
 //	schedbench                      # table on stdout, calendar scheduler
 //	schedbench -sched both -reps 5  # calendar and polling side by side
-//	schedbench -sched all -workers 4  # all three, incl. speculative parallel
+//	schedbench -sched all           # all three, incl. speculative parallel
 //	schedbench -only Grav,Pdsa      # focused subset of the benchmarks
 //	schedbench -json out.json       # machine-readable report
 package main
@@ -38,7 +38,6 @@ type Row struct {
 	Bench     string  `json:"bench"`
 	Model     string  `json:"model"`
 	Scheduler string  `json:"scheduler"`
-	Workers   int     `json:"workers,omitempty"`
 	BestNs    int64   `json:"best_ns"`
 	SimCycles uint64  `json:"sim_cycles"`
 	MCyclesPS float64 `json:"mcycles_per_sec"`
@@ -73,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "generation seed")
 	reps := fs.Int("reps", 5, "repetitions per cell; the best time is kept")
 	schedFlag := fs.String("sched", "calendar", "scheduler(s) to time: calendar, polling, parallel, both (calendar+polling), or all")
-	workers := fs.Int("workers", 4, "worker goroutines for the parallel scheduler rows")
 	only := fs.String("only", "", "comma-separated benchmark subset (default: all six)")
 	jsonPath := fs.String("json", "", "also write the report as JSON to this file")
 	if err := fs.Parse(args); err != nil {
@@ -127,10 +125,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				cfgs[si] = model.MachineConfig(machine.DefaultConfig())
 				cfgs[si].Sched = sched
 				rows[si] = Row{Bench: name, Model: model.String(), Scheduler: sched.String()}
-				if sched == machine.SchedParallel {
-					cfgs[si].Workers = *workers
-					rows[si].Workers = *workers
-				}
 			}
 			for r := 0; r < *reps; r++ {
 				for si := range scheds {

@@ -43,7 +43,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	workers := flag.Int("j", 0, "concurrent sweep points (0 = GOMAXPROCS)")
 	sched := flag.String("sched", "calendar", "per-run scheduler: calendar, polling, or parallel")
-	runWorkers := flag.Int("workers", 0, "per-run worker goroutines for -sched parallel")
 	showMetrics := flag.Bool("metrics", false, "append the engine report as CSV comments")
 	flag.Parse()
 
@@ -69,10 +68,6 @@ func main() {
 	} else {
 		baseCfg.Sched = kind
 	}
-	if *runWorkers != 0 && baseCfg.Sched != machine.SchedParallel {
-		fatal(fmt.Errorf("-workers only applies to -sched parallel"))
-	}
-	baseCfg.Workers = *runWorkers
 
 	var (
 		tasks  []engine.Task

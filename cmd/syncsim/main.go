@@ -134,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	hotLocks := fs.Int("locks", 0, "print the N hottest locks by acquisitions")
 	hist := fs.Bool("hist", false, "print the waiters-at-transfer histogram")
 	sched := fs.String("sched", "calendar", "simulation scheduler: calendar (event-driven), polling (step every CPU every cycle), or parallel (speculative run-ahead, bit-identical)")
-	schedWorkers := fs.Int("workers", 0, "worker goroutines for the parallel scheduler (0/1 = inline speculation)")
 	stream := fs.Bool("stream", false, "stream traces through a bounded ring instead of materialising them (skips the ideal analysis; serial scheduler)")
 	streamBudget := fs.Int("streambudget", 0, "total buffered events across CPUs for -stream (0 = default)")
 	memBudget := fs.Int("membudget", 0, "peak-heap budget in MiB (0 = unlimited): fail the run if sampled HeapAlloc ever exceeds it")
@@ -177,10 +176,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("unknown scheduler %q (want calendar, polling, parallel)", *sched)
 	}
 	cfg.Sched = kind
-	if *schedWorkers != 0 && kind != machine.SchedParallel {
-		return fmt.Errorf("-workers only applies to -sched parallel")
-	}
-	cfg.Workers = *schedWorkers
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -24,11 +25,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := syncsim.RunBenchmark(bench, syncsim.Options{
-			Scale:  *scale,
-			Seed:   1,
-			Models: []syncsim.Model{syncsim.ModelQueue, syncsim.ModelTTS},
-		})
+		out, err := syncsim.RunBenchmarkCtx(context.Background(), bench,
+			syncsim.WithScale(*scale),
+			syncsim.WithSeed(1),
+			syncsim.WithModels(syncsim.ModelQueue, syncsim.ModelTTS),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}

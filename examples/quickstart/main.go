@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,11 +22,11 @@ func main() {
 
 	// Run it at 1/10 of the traced length under the paper's baseline
 	// machine (sequential consistency, queuing locks).
-	out, err := syncsim.RunBenchmark(bench, syncsim.Options{
-		Scale:  0.1,
-		Seed:   1,
-		Models: []syncsim.Model{syncsim.ModelQueue},
-	})
+	out, err := syncsim.RunBenchmarkCtx(context.Background(), bench,
+		syncsim.WithScale(0.1),
+		syncsim.WithSeed(1),
+		syncsim.WithModels(syncsim.ModelQueue),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,9 +39,12 @@ type SimRequest struct {
 	// or parallel. All schedulers produce bit-identical results; GET
 	// /v1/capabilities lists the valid names.
 	Sched string `json:"sched,omitempty"`
-	// Workers bounds the helper goroutines of the parallel scheduler
-	// (0 = inline speculation). Only valid with sched "parallel"; results
-	// do not depend on it.
+	// Workers is accepted for compatibility and ignored: the parallel
+	// scheduler has no worker pool. A negative value is still rejected;
+	// any other value is canonicalised to 0, so it is neither echoed nor
+	// part of the result's cache key.
+	//
+	// Deprecated: results never depended on it; omit it.
 	Workers int `json:"workers,omitempty"`
 	// Check enables the runtime invariant checker (~1.5x slower).
 	Check bool `json:"check,omitempty"`

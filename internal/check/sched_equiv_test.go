@@ -3,7 +3,6 @@ package check
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"syncsim/internal/core"
@@ -11,19 +10,18 @@ import (
 )
 
 // schedEquivSuite runs the full benchmark suite at the golden corpus scale
-// under the given scheduler configuration.
-func schedEquivSuite(t *testing.T, sched machine.SchedKind, workers int) []*core.Outcome {
+// under the given scheduler.
+func schedEquivSuite(t *testing.T, sched machine.SchedKind) []*core.Outcome {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.Sched = sched
-	cfg.Workers = workers
 	outs, err := core.RunSuiteCtx(context.Background(), core.Options{
 		Scale:   GoldenScale,
 		Seed:    GoldenSeed,
 		Machine: &cfg,
 	})
 	if err != nil {
-		t.Fatalf("suite under %v scheduler (workers=%d): %v", sched, workers, err)
+		t.Fatalf("suite under %v scheduler: %v", sched, err)
 	}
 	return outs
 }
@@ -63,17 +61,13 @@ func assertSuitesEqual(t *testing.T, aName, bName string, a, b []*core.Outcome) 
 // TestSchedulerEquivalence pins the three schedulers to each other
 // bit-for-bit across the full benchmark matrix: the wakeup calendar
 // against the retained polling loop, and the speculative parallel
-// scheduler — at every interesting worker count — against the calendar.
-// Worker counts beyond one exercise the goroutine pool and the
-// pre-dispatch/join path; results must be invariant under all of them and
-// under GOMAXPROCS (the host's parallelism must never leak into simulated
-// time).
+// scheduler against the calendar.
 func TestSchedulerEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full 6×3 matrix under six scheduler configurations")
+		t.Skip("runs the full 6×3 matrix under three schedulers")
 	}
-	calendar := schedEquivSuite(t, machine.SchedCalendar, 0)
-	polling := schedEquivSuite(t, machine.SchedPolling, 0)
+	calendar := schedEquivSuite(t, machine.SchedCalendar)
+	polling := schedEquivSuite(t, machine.SchedPolling)
 	assertSuitesEqual(t, "calendar", "polling", calendar, polling)
 
 	// The calendar must actually be doing less work, not just the same
@@ -88,27 +82,20 @@ func TestSchedulerEquivalence(t *testing.T) {
 		}
 	}
 
-	// Force real host parallelism for the worker-pool runs even on a
-	// single-CPU machine: Config.Workers is clamped to GOMAXPROCS, so
-	// without this the pool path would silently degrade to the inline one.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		parallel := schedEquivSuite(t, machine.SchedParallel, workers)
-		assertSuitesEqual(t, "calendar", "parallel", calendar, parallel)
-		for i := range parallel {
-			for _, model := range []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO} {
-				cr, pr := calendar[i].Results[model], parallel[i].Results[model]
-				// Speculation must visit strictly fewer cycles than the
-				// calendar: leased stretches collapse into a single wakeup
-				// at the blocking cycle. (Step counts are not compared —
-				// superseded post-rollback wakeups add no-op steps and
-				// weak-ordering write stretches merge steps, in both
-				// directions, without affecting any architectural result.)
-				if pr.Sched.Iterations >= cr.Sched.Iterations {
-					t.Errorf("%s/%v workers=%d: parallel visited %d cycles, calendar %d — no lookahead won",
-						parallel[i].Name, model, workers, pr.Sched.Iterations, cr.Sched.Iterations)
-				}
+	parallel := schedEquivSuite(t, machine.SchedParallel)
+	assertSuitesEqual(t, "calendar", "parallel", calendar, parallel)
+	for i := range parallel {
+		for _, model := range []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO} {
+			cr, pr := calendar[i].Results[model], parallel[i].Results[model]
+			// Speculation must visit strictly fewer cycles than the
+			// calendar: leased stretches collapse into a single wakeup
+			// at the blocking cycle. (Step counts are not compared —
+			// superseded post-rollback wakeups add no-op steps and
+			// weak-ordering write stretches merge steps, in both
+			// directions, without affecting any architectural result.)
+			if pr.Sched.Iterations >= cr.Sched.Iterations {
+				t.Errorf("%s/%v: parallel visited %d cycles, calendar %d — no lookahead won",
+					parallel[i].Name, model, pr.Sched.Iterations, cr.Sched.Iterations)
 			}
 		}
 	}

@@ -243,20 +243,6 @@ func RunSuiteCtx(ctx context.Context, opts Options) ([]*Outcome, error) {
 	return runMatrix(ctx, sel.Benchmarks(), opts)
 }
 
-// RunBenchmark runs a single benchmark without cancellation.
-//
-// Deprecated: use RunBenchmarkCtx.
-func RunBenchmark(b suite.Benchmark, opts Options) (*Outcome, error) {
-	return RunBenchmarkCtx(context.Background(), b, opts)
-}
-
-// RunSuite runs the suite without cancellation.
-//
-// Deprecated: use RunSuiteCtx.
-func RunSuite(opts Options) ([]*Outcome, error) {
-	return RunSuiteCtx(context.Background(), opts)
-}
-
 // runMatrix schedules the (benchmark × model) matrix on the engine and
 // groups the task results back into per-benchmark outcomes.
 func runMatrix(ctx context.Context, benches []suite.Benchmark, opts Options) ([]*Outcome, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func TestRunBenchmarkAllModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunBenchmark(b, Options{Scale: 0.02, Seed: 1})
+	out, err := RunBenchmarkCtx(context.Background(), b, Options{Scale: 0.02, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestRunBenchmarkAllModels(t *testing.T) {
 
 func TestRunBenchmarkSubsetOfModels(t *testing.T) {
 	b, _ := suite.ByName("Qsort")
-	out, err := RunBenchmark(b, Options{Scale: 0.02, Seed: 1, Models: []Model{ModelQueue}})
+	out, err := RunBenchmarkCtx(context.Background(), b, Options{Scale: 0.02, Seed: 1, Models: []Model{ModelQueue}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRunBenchmarkSubsetOfModels(t *testing.T) {
 
 func TestRunBenchmarkIdealOnly(t *testing.T) {
 	b, _ := suite.ByName("Topopt")
-	out, err := RunBenchmark(b, Options{Scale: 0.01, Seed: 1, Models: []Model{}})
+	out, err := RunBenchmarkCtx(context.Background(), b, Options{Scale: 0.01, Seed: 1, Models: []Model{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestRunBenchmarkIdealOnly(t *testing.T) {
 }
 
 func TestRunSuiteOnly(t *testing.T) {
-	outs, err := RunSuite(Options{
+	outs, err := RunSuiteCtx(context.Background(), Options{
 		Scale:  0.02,
 		Seed:   1,
 		Only:   []string{"Pverify", "Topopt"},
@@ -119,7 +120,7 @@ func TestRunSuiteOnly(t *testing.T) {
 }
 
 func TestRunSuiteUnknownOnly(t *testing.T) {
-	_, err := RunSuite(Options{Scale: 0.02, Only: []string{"Nope"}})
+	_, err := RunSuiteCtx(context.Background(), Options{Scale: 0.02, Only: []string{"Nope"}})
 	if !errors.Is(err, suite.ErrUnknownBenchmark) {
 		t.Fatalf("err = %v, want wrapped suite.ErrUnknownBenchmark", err)
 	}
@@ -131,7 +132,7 @@ func TestRunSuiteUnknownOnly(t *testing.T) {
 func TestProgressCallback(t *testing.T) {
 	var lines []string
 	b, _ := suite.ByName("Topopt")
-	_, err := RunBenchmark(b, Options{
+	_, err := RunBenchmarkCtx(context.Background(), b, Options{
 		Scale:    0.01,
 		Models:   []Model{ModelQueue},
 		Progress: func(format string, args ...any) { lines = append(lines, format) },
@@ -148,11 +149,11 @@ func TestCustomMachineConfig(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	cfg.Memory.AccessTime = 30 // slow memory
 	b, _ := suite.ByName("Qsort")
-	slow, err := RunBenchmark(b, Options{Scale: 0.02, Machine: &cfg, Models: []Model{ModelQueue}})
+	slow, err := RunBenchmarkCtx(context.Background(), b, Options{Scale: 0.02, Machine: &cfg, Models: []Model{ModelQueue}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := RunBenchmark(b, Options{Scale: 0.02, Models: []Model{ModelQueue}})
+	fast, err := RunBenchmarkCtx(context.Background(), b, Options{Scale: 0.02, Models: []Model{ModelQueue}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,14 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"syncsim/internal/lru"
 	"syncsim/internal/trace"
 	"syncsim/internal/workload"
 	"syncsim/internal/workload/addr"
@@ -56,17 +57,17 @@ type CacheInfo struct {
 // a long-lived service must cap the cache or its heap grows with every
 // distinct request it has ever seen.
 type TraceCache struct {
+	// mu makes a lookup's get-or-insert atomic; entries has its own lock
+	// for the individual operations.
 	mu      sync.Mutex
 	cap     int // 0 = unbounded
-	entries map[Key]*cacheEntry
-	order   *list.List // of Key; front = most recently used
+	entries *lru.Cache[Key, *cacheEntry]
 
 	hits, misses, evictions, bypassed atomic.Int64
 }
 
 type cacheEntry struct {
 	ready chan struct{} // closed once set/ideal/err are final
-	elem  *list.Element // position in the cache's LRU order
 
 	set      *trace.Set // canonical; only ever handed out as clones
 	ideal    trace.Summary
@@ -84,14 +85,10 @@ func NewTraceCache() *TraceCache {
 // NewTraceCacheCap returns an empty cache bounded to at most capacity
 // entries (LRU eviction). A capacity of zero or less means unbounded.
 func NewTraceCacheCap(capacity int) *TraceCache {
-	if capacity < 0 {
-		capacity = 0
+	if capacity <= 0 {
+		return &TraceCache{entries: lru.New[Key, *cacheEntry](math.MaxInt)}
 	}
-	return &TraceCache{
-		cap:     capacity,
-		entries: make(map[Key]*cacheEntry),
-		order:   list.New(),
-	}
+	return &TraceCache{cap: capacity, entries: lru.New[Key, *cacheEntry](capacity)}
 }
 
 // Cap returns the configured capacity; zero means unbounded.
@@ -100,11 +97,7 @@ func (c *TraceCache) Cap() int { return c.cap }
 // Len returns the number of cached traces (including failed generations,
 // whose errors are memoised too — generation is deterministic, so a
 // retry would fail identically).
-func (c *TraceCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *TraceCache) Len() int { return c.entries.Len() }
 
 // CacheStats is a point-in-time view of a cache's effectiveness.
 type CacheStats struct {
@@ -123,11 +116,8 @@ type CacheStats struct {
 
 // Stats returns the cache's cumulative lookup statistics.
 func (c *TraceCache) Stats() CacheStats {
-	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
 	return CacheStats{
-		Len: n, Cap: c.cap,
+		Len: c.entries.Len(), Cap: c.cap,
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
@@ -146,12 +136,12 @@ func (c *TraceCache) Get(ctx context.Context, prog workload.Program, p workload.
 	key := KeyFor(prog, p)
 	for {
 		c.mu.Lock()
-		e, ok := c.entries[key]
+		e, ok := c.entries.Get(key)
 		if !ok {
 			e = &cacheEntry{ready: make(chan struct{})}
-			c.entries[key] = e
-			e.elem = c.order.PushFront(key)
-			c.evictExcessLocked()
+			if c.entries.Put(key, e) {
+				c.evictions.Add(1)
+			}
 			c.mu.Unlock()
 			c.misses.Add(1)
 			c.fill(ctx, e, key, prog, p, progress)
@@ -165,7 +155,6 @@ func (c *TraceCache) Get(ctx context.Context, prog workload.Program, p workload.
 			info := CacheInfo{Generate: e.generate, Analyze: e.analyze}
 			return clone, e.ideal, info, nil
 		}
-		c.order.MoveToFront(e.elem)
 		c.mu.Unlock()
 		c.hits.Add(1)
 		select {
@@ -252,25 +241,8 @@ func (c *TraceCache) fill(ctx context.Context, e *cacheEntry, key Key, prog work
 // and a NEWER fill may occupy the key; that one must not be torn down.
 func (c *TraceCache) evict(key Key, e *cacheEntry) {
 	c.mu.Lock()
-	if cur, ok := c.entries[key]; ok && cur == e {
-		delete(c.entries, key)
-		c.order.Remove(e.elem)
+	if cur, ok := c.entries.Get(key); ok && cur == e {
+		c.entries.Remove(key)
 	}
 	c.mu.Unlock()
-}
-
-// evictExcessLocked enforces the LRU bound. Called with c.mu held, right
-// after an insert at the front of the order list, so when the cache is over
-// capacity the back element is never the entry just inserted.
-func (c *TraceCache) evictExcessLocked() {
-	for c.cap > 0 && len(c.entries) > c.cap {
-		back := c.order.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(Key)
-		delete(c.entries, key)
-		c.order.Remove(back)
-		c.evictions.Add(1)
-	}
 }

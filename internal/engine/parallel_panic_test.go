@@ -45,8 +45,8 @@ func (p *poisonedCursor) CloneSource() trace.Source {
 
 // poisonedParProgram generates a contended workload whose per-task trace
 // clones panic on their second event. With the parallel scheduler every
-// CPU is speculatively leasable at cycle 0, so the pool pre-dispatches
-// the advances and the panic lands inside a worker goroutine.
+// CPU is speculatively leasable at cycle 0, so the panic lands inside a
+// speculative advance.
 type poisonedParProgram struct{ ncpu int }
 
 func (p *poisonedParProgram) Name() string     { return "poisoned-par" }
@@ -58,7 +58,7 @@ func (p *poisonedParProgram) Generate(q workload.Params) (*trace.Set, error) {
 	for i := range cpus {
 		private := 0x4000 + uint32(i)*0x100
 		cpus[i] = []trace.Event{
-			trace.Exec(uint32(1 + i%7)), // consumed by the pre-dispatched advance
+			trace.Exec(uint32(1 + i%7)), // consumed by the first advance
 			trace.Read(0x1000),          // second Next: the poisoned one
 			trace.Write(private),
 			trace.Lock(0, 0x9000),
@@ -74,34 +74,32 @@ func (p *poisonedParProgram) Generate(q workload.Params) (*trace.Set, error) {
 	return set, nil
 }
 
-func parallelCfg(workers int) machine.Config {
+func parallelCfg() machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Sched = machine.SchedParallel
-	cfg.Workers = workers
 	return cfg
 }
 
-// TestParallelSchedPanicIsolation: a panic inside one of the parallel
-// scheduler's pool workers crosses two pool boundaries — the machine's
-// speculation pool and the engine's task pool — and must still arrive as
-// an ordinary *PanicError naming the job, with both pools torn down
-// (leakCheck) and the engine serviceable for further parallel runs.
+// TestParallelSchedPanicIsolation: a panic inside the parallel
+// scheduler's speculative advance crosses the engine's task pool and must
+// still arrive as an ordinary *PanicError naming the job, with the pool
+// torn down (leakCheck) and the engine serviceable for further parallel
+// runs.
 func TestParallelSchedPanicIsolation(t *testing.T) {
 	leakCheck(t)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	prog := &poisonedParProgram{ncpu: 8}
 	eng := New(Config{Workers: 2})
 	task := Task{Program: prog, Params: workload.Params{Scale: 1, Seed: 1},
-		Label: "par", Config: parallelCfg(4), Metrics: true}
+		Label: "par", Config: parallelCfg(), Metrics: true}
 	_, _, err := eng.Run(context.Background(), []Task{task})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
 	}
 	msg := fmt.Sprint(pe.Value)
-	if !strings.Contains(msg, "parallel advance") || !strings.Contains(msg, "poisoned") {
-		t.Errorf("panic value %q does not carry the scheduler-worker context", msg)
+	if !strings.Contains(msg, "poisoned") {
+		t.Errorf("panic value %q is not the poisoned cursor's", msg)
 	}
 	if !strings.Contains(pe.Job, "poisoned-par") {
 		t.Errorf("job = %q, want it to name the workload", pe.Job)
@@ -113,7 +111,7 @@ func TestParallelSchedPanicIsolation(t *testing.T) {
 	// The engine still executes healthy parallel-scheduled tasks.
 	good := &fakeProgram{name: "fine-par", ncpu: 4, pairs: 8}
 	gt := Task{Program: good, Params: workload.Params{Scale: 1, Seed: 1},
-		Label: "par", Config: parallelCfg(4), Metrics: true}
+		Label: "par", Config: parallelCfg(), Metrics: true}
 	results, _, err := eng.Run(context.Background(), []Task{gt})
 	if err != nil {
 		t.Fatalf("engine unusable after contained scheduler panic: %v", err)
@@ -124,10 +122,9 @@ func TestParallelSchedPanicIsolation(t *testing.T) {
 }
 
 // TestParallelSchedSoak: a race-enabled soak of the parallel scheduler
-// THROUGH the engine — per-run speculation workers composing with the
-// engine's own task pool (suite -j) — across several seeds. Every
+// THROUGH the engine's task pool (suite -j) across several seeds. Every
 // parallel result must be bit-identical to the calendar result for the
-// same seed, and the pools must not leak.
+// same seed, and the pool must not leak.
 func TestParallelSchedSoak(t *testing.T) {
 	leakCheck(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -139,10 +136,10 @@ func TestParallelSchedSoak(t *testing.T) {
 		p := workload.Params{Scale: 1, Seed: seed}
 		tasks = append(tasks,
 			Task{Program: prog, Params: p, Label: fmt.Sprintf("cal/%d", seed), Config: serial},
-			Task{Program: prog, Params: p, Label: fmt.Sprintf("par/%d", seed), Config: parallelCfg(4)},
+			Task{Program: prog, Params: p, Label: fmt.Sprintf("par/%d", seed), Config: parallelCfg()},
 		)
 	}
-	eng := New(Config{Workers: 3}) // engine pool and speculation pools overlap
+	eng := New(Config{Workers: 3})
 	results, _, err := eng.Run(context.Background(), tasks)
 	if err != nil {
 		t.Fatal(err)

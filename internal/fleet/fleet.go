@@ -8,12 +8,14 @@ import (
 	"log"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"syncsim/internal/api"
 	"syncsim/internal/client"
 	"syncsim/internal/fleet/store"
+	"syncsim/internal/flight"
+	"syncsim/internal/lru"
+	"syncsim/internal/metrics"
 	"syncsim/internal/server"
 )
 
@@ -88,11 +90,8 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	switch {
-	case c.ResultCacheSize == 0:
+	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 64
-	case c.ResultCacheSize < 0:
-		c.ResultCacheSize = 0
 	}
 	if c.CellConcurrency <= 0 {
 		c.CellConcurrency = 2 * len(c.Backends)
@@ -108,19 +107,11 @@ func (c Config) withDefaults() Config {
 
 // backendStats are one backend's routing counters (see api.FleetBackend).
 type backendStats struct {
-	routed     counter
-	retried    counter
-	failedOver counter
-	hedged     counter
+	routed     metrics.Counter
+	retried    metrics.Counter
+	failedOver metrics.Counter
+	hedged     metrics.Counter
 }
-
-// counter is a tiny atomic counter (the fleet does not need the metrics
-// registry's name indirection for per-backend stats — /v1/fleet/status is
-// its exposition surface).
-type counter struct{ v atomic.Uint64 }
-
-func (c *counter) inc()          { c.v.Add(1) }
-func (c *counter) value() uint64 { return c.v.Load() }
 
 // Coordinator is the fleet front end: it owns the epoch-versioned
 // membership ring, the per-backend client pool with circuit breakers and
@@ -132,22 +123,22 @@ type Coordinator struct {
 	members *membership
 	pool    *client.Pool
 	health  *healthTracker
-	cache   *sweepLRU
+	cache   *lru.Cache[string, *api.SweepPayload]
 	store   store.Store
-	flights *cellFlights
+	flights flight.Group[*api.SimPayload]
 	quota   *server.QuotaSet
 
 	statsMu sync.Mutex
 	stats   map[string]*backendStats
 
-	sweeps    counter
-	cells     counter
-	cacheHits counter
-	storeHits counter
-	coalesced counter
-	hedged    counter
-	hedgeWins counter
-	throttled counter
+	sweeps    metrics.Counter
+	cells     metrics.Counter
+	cacheHits metrics.Counter
+	storeHits metrics.Counter
+	coalesced metrics.Counter
+	hedged    metrics.Counter
+	hedgeWins metrics.Counter
+	throttled metrics.Counter
 
 	// baseCtx outlives any single request: coalesced cell jobs run under
 	// it so a leader's disconnect does not kill the work its followers
@@ -172,9 +163,8 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		members:    newMembership(ring),
 		pool:       client.NewPool(ring.Members(), cfg.Pool),
-		cache:      newSweepLRU(cfg.ResultCacheSize),
+		cache:      lru.New[string, *api.SweepPayload](cfg.ResultCacheSize),
 		store:      cfg.Store,
-		flights:    newCellFlights(),
 		quota:      server.NewQuotaSet(cfg.Quotas, cfg.QuotaNow),
 		stats:      make(map[string]*backendStats, len(ring.Members())),
 		baseCtx:    baseCtx,
@@ -274,7 +264,7 @@ func (c *Coordinator) admitTenant(w http.ResponseWriter, r *http.Request) bool {
 	tenant := server.TenantLabel(r.Header.Get(api.HeaderTenant))
 	wait, ok := c.quota.Admit(tenant)
 	if !ok {
-		c.throttled.inc()
+		c.throttled.Inc()
 		w.Header().Set(api.HeaderRetryAfter, server.QuotaRetryAfter(wait))
 		http.Error(w, fmt.Sprintf("tenant %q over quota; retry later", tenant), http.StatusTooManyRequests)
 	}
@@ -300,11 +290,11 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	c.sweeps.inc()
+	c.sweeps.Inc()
 
-	if p, ok := c.cache.get(plan.Key); ok {
-		c.cacheHits.inc()
-		c.writeJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p.(*api.SweepPayload), Served: "cache"})
+	if p, ok := c.cache.Get(plan.Key); ok {
+		c.cacheHits.Inc()
+		c.writeJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p, Served: "cache"})
 		return
 	}
 	if p := c.sweepFromStore(plan.Key); p != nil {
@@ -317,7 +307,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		c.writeCellError(w, err)
 		return
 	}
-	c.cache.put(plan.Key, payload)
+	c.cache.Put(plan.Key, payload)
 	c.storePut(plan.Key, payload)
 	c.writeJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: payload, Served: "run"})
 }
@@ -367,15 +357,21 @@ func (c *Coordinator) runSweep(ctx context.Context, plan server.SweepPlan) (*api
 // through the cell single-flight — the hedged race over the ring's
 // failover order (see routeCell).
 func (c *Coordinator) runCell(ctx context.Context, plan server.SimPlan) (*api.SimPayload, error) {
-	c.cells.inc()
+	c.cells.Inc()
 	if p := c.cellFromStore(plan.Key); p != nil {
 		return p, nil
 	}
-	payload, shared, err := c.flights.do(ctx, c.baseCtx, plan.Key, func(jobCtx context.Context) (*api.SimPayload, error) {
+	// The race runs under the coordinator's lifetime, carrying the
+	// leader's tenant so backends attribute the fanned-out work.
+	jobCtx := c.baseCtx
+	if tenant, ok := client.TenantFrom(ctx); ok {
+		jobCtx = client.WithTenant(jobCtx, tenant)
+	}
+	payload, shared, err := c.flights.Do(ctx, jobCtx, plan.Key, func(jobCtx context.Context) (*api.SimPayload, error) {
 		return c.routeCell(jobCtx, plan)
 	})
 	if shared {
-		c.coalesced.inc()
+		c.coalesced.Inc()
 	}
 	return payload, err
 }
@@ -471,7 +467,7 @@ func storeGet[P any](c *Coordinator, key string) *P {
 		c.logf("fleet: L2 store entry for %q is damaged: %v", key, err)
 		return nil
 	}
-	c.storeHits.inc()
+	c.storeHits.Inc()
 	return p
 }
 
@@ -488,7 +484,9 @@ func (c *Coordinator) storePut(key string, payload any) {
 
 // handleCapabilities proxies GET /v1/capabilities from the first backend
 // that answers, in ring-member order: the fleet's vocabulary is its
-// backends' (they are replicas of one service).
+// backends' (they are replicas of one service). The coordinator routes
+// neither /v1/predict nor /v1/analyze, so it strips both from the answer
+// rather than send a discovering client to a 404.
 func (c *Coordinator) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", "GET")
@@ -507,6 +505,7 @@ func (c *Coordinator) handleCapabilities(w http.ResponseWriter, r *http.Request)
 		cancel()
 		c.pool.Report(b, err)
 		if err == nil {
+			caps.Predict, caps.Analyze = nil, nil
 			c.writeJSON(w, http.StatusOK, caps)
 			return
 		}
@@ -521,14 +520,14 @@ func (c *Coordinator) Status() api.FleetStatusResponse {
 	resp := api.FleetStatusResponse{
 		Epoch:     rs.epoch,
 		Replicas:  rs.ring.Replicas(),
-		Sweeps:    c.sweeps.value(),
-		Cells:     c.cells.value(),
-		CacheHits: c.cacheHits.value(),
-		StoreHits: c.storeHits.value(),
-		Coalesced: c.coalesced.value(),
-		Hedged:    c.hedged.value(),
-		HedgeWins: c.hedgeWins.value(),
-		Throttled: c.throttled.value(),
+		Sweeps:    uint64(c.sweeps.Value()),
+		Cells:     uint64(c.cells.Value()),
+		CacheHits: uint64(c.cacheHits.Value()),
+		StoreHits: uint64(c.storeHits.Value()),
+		Coalesced: uint64(c.coalesced.Value()),
+		Hedged:    uint64(c.hedged.Value()),
+		HedgeWins: uint64(c.hedgeWins.Value()),
+		Throttled: uint64(c.throttled.Value()),
 	}
 	for _, b := range rs.ring.Members() {
 		st := c.statsFor(b)
@@ -540,10 +539,10 @@ func (c *Coordinator) Status() api.FleetStatusResponse {
 			URL:        b,
 			Healthy:    c.health.ok(b),
 			Circuit:    string(c.pool.State(b)),
-			Routed:     st.routed.value(),
-			Retried:    st.retried.value(),
-			FailedOver: st.failedOver.value(),
-			Hedged:     st.hedged.value(),
+			Routed:     uint64(st.routed.Value()),
+			Retried:    uint64(st.retried.Value()),
+			FailedOver: uint64(st.failedOver.Value()),
+			Hedged:     uint64(st.hedged.Value()),
 			P95Millis:  p95ms,
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"syncsim/internal/api"
@@ -12,9 +11,9 @@ import (
 	"syncsim/internal/server"
 )
 
-// This file is the coordinator's cell execution core: a waiter-counted
-// single-flight keyed on the cell's canonical cache key, and under it a
-// hedged race along the cell's ring-order candidates.
+// This file is the coordinator's cell execution core: under the cell
+// single-flight (a flight.Group keyed on the cell's canonical cache key;
+// see runCell), a hedged race along the cell's ring-order candidates.
 //
 // The two layers compose into the first-wins merge rule: the flight
 // guarantees at most one race per cell key is deciding at a time (a
@@ -25,88 +24,6 @@ import (
 // (the simulator is deterministic per cell), so the flight is not what
 // makes results correct; it is what keeps a hedge from doubling load
 // and what lets concurrent identical requests share one answer.
-
-// cellFlight is one in-progress cell that any number of identical
-// requests share. The leader executes the race; followers park on done.
-// The job runs under the coordinator's lifetime context, not the
-// leader's: it stays alive while anyone still wants the answer and is
-// cancelled only when the last interested caller disconnects.
-type cellFlight struct {
-	done    chan struct{}
-	payload *api.SimPayload
-	err     error
-
-	mu      sync.Mutex
-	waiters int
-	cancel  context.CancelFunc
-}
-
-func (f *cellFlight) join() {
-	f.mu.Lock()
-	f.waiters++
-	f.mu.Unlock()
-}
-
-func (f *cellFlight) leave() {
-	f.mu.Lock()
-	f.waiters--
-	last := f.waiters == 0
-	f.mu.Unlock()
-	if last {
-		f.cancel()
-	}
-}
-
-// cellFlights is the single-flight map: one flight per cell key.
-type cellFlights struct {
-	mu sync.Mutex
-	m  map[string]*cellFlight
-}
-
-func newCellFlights() *cellFlights {
-	return &cellFlights{m: make(map[string]*cellFlight)}
-}
-
-// do executes fn once per key among concurrent callers; later callers
-// coalesce onto the leader's flight (shared=true). The job context is
-// derived from base (coordinator lifetime) and carries the leader's
-// tenant, so backends attribute the fanned-out work; callerCtx governs
-// only this caller's wait.
-func (g *cellFlights) do(callerCtx, base context.Context, key string, fn func(context.Context) (*api.SimPayload, error)) (payload *api.SimPayload, shared bool, err error) {
-	g.mu.Lock()
-	if f, ok := g.m[key]; ok {
-		f.join()
-		g.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.payload, true, f.err
-		case <-callerCtx.Done():
-			f.leave()
-			return nil, true, callerCtx.Err()
-		}
-	}
-	jobCtx, cancel := context.WithCancel(base)
-	if tenant, ok := client.TenantFrom(callerCtx); ok {
-		jobCtx = client.WithTenant(jobCtx, tenant)
-	}
-	f := &cellFlight{done: make(chan struct{}), waiters: 1, cancel: cancel}
-	g.m[key] = f
-	g.mu.Unlock()
-
-	// A leader whose caller disconnects mid-run counts itself out; the
-	// race keeps running while any follower still waits.
-	stop := context.AfterFunc(callerCtx, f.leave)
-	f.payload, f.err = fn(jobCtx)
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(f.done)
-	if stop() {
-		f.leave()
-	}
-	return f.payload, false, f.err
-}
 
 // attemptOutcome is one backend attempt's result inside a race.
 type attemptOutcome struct {
@@ -152,12 +69,12 @@ func (c *Coordinator) raceCell(ctx context.Context, plan server.SimPlan, candida
 		inflight++
 		switch {
 		case next == 1:
-			c.statsFor(b).routed.inc()
+			c.statsFor(b).routed.Inc()
 		case hedged:
-			c.hedged.inc()
-			c.statsFor(b).hedged.inc()
+			c.hedged.Inc()
+			c.statsFor(b).hedged.Inc()
 		default:
-			c.statsFor(b).retried.inc()
+			c.statsFor(b).retried.Inc()
 		}
 		go func() {
 			payload, err := c.attemptCell(ctx, b, plan)
@@ -187,9 +104,9 @@ func (c *Coordinator) raceCell(ctx context.Context, plan server.SimPlan, candida
 				// the cell off its primary.
 				switch {
 				case out.hedged:
-					c.hedgeWins.inc()
+					c.hedgeWins.Inc()
 				case out.backend != candidates[0]:
-					c.statsFor(out.backend).failedOver.inc()
+					c.statsFor(out.backend).failedOver.Inc()
 				}
 				return out.payload, nil
 			}

@@ -1,6 +1,6 @@
 // Package store is the fleet's shared L2 result cache: a content-addressed
 // blob store keyed by the server's canonical job keys. The in-memory
-// resultLRU inside each syncsimd stays L1; a store shared between the
+// result LRU inside each syncsimd stays L1; a store shared between the
 // coordinator and its backends (the on-disk Disk implementation over a
 // common directory) lets any fleet member serve a result any other member
 // computed, across process restarts.

@@ -65,8 +65,7 @@ const (
 	// clock, committing the speculation in calendar order and rolling it
 	// back when a bus snoop invalidates it. Every bus transaction is
 	// ordered exactly as under SchedCalendar, so results are
-	// bit-identical; Config.Workers bounds the helper goroutines. See
-	// internal/machine/parallel.go and DESIGN §16.
+	// bit-identical. See internal/machine/parallel.go and DESIGN §16.
 	SchedParallel
 )
 
@@ -127,13 +126,6 @@ type Config struct {
 	// Sched selects the run-loop scheduler; all produce identical
 	// results (see SchedKind). The zero value is the calendar scheduler.
 	Sched SchedKind
-	// Workers bounds the helper goroutines SchedParallel may use for
-	// speculative processor run-ahead. 0 or 1 keeps the speculation
-	// inline on the coordinator (the same algorithm with no goroutines);
-	// larger values are clamped to GOMAXPROCS and to the processor count.
-	// Results are bit-identical for every value. Ignored by the other
-	// schedulers.
-	Workers int `json:",omitempty"`
 
 	// BackoffBase and BackoffMax bound the exponential backoff of the
 	// TTSBackoff lock algorithm, in cycles. Zero values select defaults
@@ -212,9 +204,6 @@ func (c Config) Validate() error {
 	case SchedCalendar, SchedPolling, SchedParallel:
 	default:
 		return fmt.Errorf("machine: unknown scheduler %v", c.Sched)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("machine: workers must be non-negative, got %d", c.Workers)
 	}
 	switch c.Fault {
 	case FaultNone, FaultSkipInvalidate:

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"runtime/debug"
-	"sync"
 
 	"syncsim/internal/cache"
 	"syncsim/internal/trace"
@@ -64,26 +61,14 @@ import (
 // exactly what the serial machine would have. That is what makes the late
 // snoop application and the conflict stamps sound.
 //
-// # Workers
+// # Cost
 //
-// With Config.Workers > 1 the advances themselves (pure per-processor
-// functions) run on a small goroutine pool: at the start of each phase-B
-// sweep the coordinator pre-dispatches an advance for every eligible dirty
-// processor, then sweeps in index order, joining each processor's advance
-// at its position. Dispatched processors cannot be perturbed by earlier
-// sweep steps (they are never blocked on locks or barriers and their
-// buffers are empty), so the join order — not the completion order —
-// decides every observable effect and results are independent of worker
-// count, scheduling and GOMAXPROCS. All conflict detection, rollback,
-// replay and commit work stays on the coordinator. With Workers <= 1 (or
-// on a single-CPU host) the same speculation runs inline on the
-// coordinator with no goroutines at all — this is where the scheduler's
-// single-thread speedup comes from: a leased visit costs an event decode
-// and a journal probe instead of the full visited-cycle machinery.
-//
-// The hot path allocates nothing in steady state: journals and stamp
-// arrays are sized at construction, snoop-replay queues are reslised on
-// reuse, and the dispatch channels are fixed-capacity.
+// The speculation runs inline on the coordinator, with no goroutines.
+// That is where the scheduler's speedup comes from: a leased visit costs
+// an event decode and a journal probe instead of the full visited-cycle
+// machinery. The hot path allocates nothing in steady state: journals
+// and stamp arrays are sized at construction and snoop-replay queues are
+// resliced on reuse.
 
 // maxLeaseSteps caps the visits of a single lease so a pathological
 // all-hits trace cannot run ahead unboundedly between heartbeat polls. A
@@ -110,34 +95,11 @@ type lease struct {
 	snoops []queuedSnoop
 }
 
-// parJob and parDone are the advance worker pool's messages.
-type parJob struct {
-	id    int
-	start uint64
-}
-
-type parDone struct {
-	id       int
-	panicked any
-	stack    []byte
-}
-
 // parExec is the parallel executor's state.
 type parExec struct {
 	leases   []lease
 	journals []*cache.Journal
 	marks    []trace.Marker
-	// dispatched marks processors handed to the pool this sweep whose
-	// leases have not yet been registered at their sweep position;
-	// inflight marks those whose results have not yet been received.
-	// They differ: joining one processor drains whatever completions
-	// arrive first, clearing inflight early, but registration must still
-	// happen exactly at the sweep position.
-	dispatched []bool
-	inflight   []bool
-	scratch    []int
-	jobs       chan parJob
-	done       chan parDone
 }
 
 // newParExec builds the speculative executor's state, or returns nil when
@@ -149,12 +111,9 @@ func newParExec(m *Machine) *parExec {
 		return nil
 	}
 	p := &parExec{
-		leases:     make([]lease, len(m.cpus)),
-		journals:   make([]*cache.Journal, len(m.cpus)),
-		marks:      make([]trace.Marker, len(m.cpus)),
-		dispatched: make([]bool, len(m.cpus)),
-		inflight:   make([]bool, len(m.cpus)),
-		scratch:    make([]int, len(m.cpus)),
+		leases:   make([]lease, len(m.cpus)),
+		journals: make([]*cache.Journal, len(m.cpus)),
+		marks:    make([]trace.Marker, len(m.cpus)),
 	}
 	for i, c := range m.cpus {
 		mk, ok := c.src.(trace.Marker)
@@ -165,20 +124,6 @@ func newParExec(m *Machine) *parExec {
 		p.journals[i] = cache.NewJournal(c.cache)
 	}
 	return p
-}
-
-// effectiveWorkers resolves Config.Workers against the host: helper
-// goroutines beyond GOMAXPROCS or the processor count cannot add
-// parallelism, and 0/1 selects the inline path.
-func (m *Machine) effectiveWorkers() int {
-	w := m.cfg.Workers
-	if max := runtime.GOMAXPROCS(0); w > max {
-		w = max
-	}
-	if w > len(m.cpus) {
-		w = len(m.cpus)
-	}
-	return w
 }
 
 // leasable reports whether a processor's next activity is purely local: it
@@ -194,32 +139,11 @@ func (m *Machine) leasable(c *cpu) bool {
 // comment for the design; see runCalendar for the phase structure.
 func (m *Machine) runParallel(ctx context.Context) error {
 	s := m.sched
-	p := m.par
 	window := m.progressWindow()
 	checkEvery := m.cancelEvery()
 	idleIters := uint64(0)
 	sinceCheck := uint64(0)
 	ready := m.ready // hoisted: a method value allocates per evaluation
-
-	if workers := m.effectiveWorkers(); workers > 1 {
-		// Buffered at the processor count so a worker can always deliver
-		// its result and exit, even if the coordinator aborts mid-sweep.
-		p.jobs = make(chan parJob, len(m.cpus))
-		p.done = make(chan parDone, len(m.cpus))
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m.parWorker()
-			}()
-		}
-		defer func() {
-			close(p.jobs)
-			wg.Wait()
-			p.jobs, p.done = nil, nil
-		}()
-	}
 
 	// Every processor starts in stFetch and must consume its first trace
 	// events at cycle 0.
@@ -249,8 +173,7 @@ func (m *Machine) runParallel(ctx context.Context) error {
 
 		// Phase A: complete the bus transaction ending now; advance the
 		// memory pipeline. Neither can target a leased processor (no
-		// buffered entries, no blocked states), so no advance is in
-		// flight here.
+		// buffered entries, no blocked states).
 		if m.txn.active && m.now >= m.txn.at {
 			t := m.txn
 			m.completeTxn()
@@ -270,9 +193,6 @@ func (m *Machine) runParallel(ctx context.Context) error {
 		// index, so NCPU <= 64 and the dirty mask covers every processor.
 		s.drainDue(m.now)
 		if s.ndirty > 0 {
-			if p.jobs != nil {
-				m.predispatch()
-			}
 			for cursor := 0; cursor < 64; {
 				w := s.dirtyMask >> uint(cursor)
 				if w == 0 {
@@ -288,9 +208,7 @@ func (m *Machine) runParallel(ctx context.Context) error {
 			}
 		}
 
-		// Phase C: arbitration, exactly as in runCalendar. Every advance
-		// dispatched this cycle has been joined by the end of the sweep,
-		// so snoops see settled lease state.
+		// Phase C: arbitration, exactly as in runCalendar.
 		if m.occupiedBufs != 0 || m.mem.HasResponse() {
 			if granted, ok := m.bus.Arbitrate(m.now, ready); ok {
 				m.grant(granted)
@@ -320,83 +238,10 @@ func (m *Machine) runParallel(ctx context.Context) error {
 	return nil
 }
 
-// parWorker runs speculative advances from the job channel until it is
-// closed. Panics (a poisoned trace source, an internal bug) are captured
-// and re-raised on the coordinator at join, so the engine's panic barrier
-// sees them exactly like a serial run's.
-func (m *Machine) parWorker() {
-	for job := range m.par.jobs {
-		res := parDone{id: job.id}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					res.panicked = r
-					res.stack = debug.Stack()
-				}
-			}()
-			m.advanceLease(job.id, job.start)
-		}()
-		m.par.done <- res
-	}
-}
-
-// predispatch hands every eligible dirty processor's advance to the worker
-// pool at the start of a phase-B sweep. Dispatched processors cannot be
-// perturbed by the sweep before their own position (they are never in a
-// blocked state and hold no buffer entries, so barrier releases, lock
-// grants and transaction completions never target them), which is what
-// makes joining them *at* their position equivalent to running them there.
-func (m *Machine) predispatch() {
-	p := m.par
-	n := 0
-	for mask := m.sched.dirtyMask; mask != 0; mask &= mask - 1 {
-		id := bits.TrailingZeros64(mask)
-		if !p.leases[id].active && m.leasable(m.cpus[id]) {
-			p.scratch[n] = id
-			n++
-		}
-	}
-	if n < 2 {
-		return // nothing to overlap; the inline path is strictly cheaper
-	}
-	for i := 0; i < n; i++ {
-		id := p.scratch[i]
-		p.dispatched[id] = true
-		p.inflight[id] = true
-		p.jobs <- parJob{id: id, start: m.now}
-	}
-}
-
-// joinAdvance blocks until processor id's dispatched advance has
-// completed, collecting (and clearing) any other completions that arrive
-// first. A worker panic is re-raised here, on the coordinator.
-func (m *Machine) joinAdvance(id int) {
-	p := m.par
-	for p.inflight[id] {
-		d := <-p.done
-		p.inflight[d.id] = false
-		if d.panicked != nil {
-			panic(fmt.Sprintf("machine: parallel advance of cpu %d panicked: %v\n%s",
-				d.id, d.panicked, d.stack))
-		}
-	}
-}
-
 // sweepCPU handles one dirty processor at its position in the phase-B
 // index-order sweep.
 func (m *Machine) sweepCPU(id int, progress *bool) {
-	p := m.par
-	if p.dispatched[id] {
-		// The advance was pre-dispatched at sweep start; join it at the
-		// position it would have run at. (Its result may already have
-		// arrived while joining an earlier processor — registration still
-		// belongs here, at the sweep position.)
-		m.joinAdvance(id)
-		p.dispatched[id] = false
-		m.finishAdvance(id, progress)
-		return
-	}
-	l := &p.leases[id]
+	l := &m.par.leases[id]
 	if l.active {
 		if l.tb != m.now {
 			// A stale wakeup: the lease re-blocked at a different cycle
@@ -451,7 +296,7 @@ func (m *Machine) serialStep(id int, progress *bool) {
 // advanceLease opens a lease on processor id and speculatively runs it
 // from cycle start until it blocks. Pure per-processor work: it touches
 // only the processor's own state, cache and journal, never the shared
-// machine — which is what lets it run on a pool worker.
+// machine.
 func (m *Machine) advanceLease(id int, start uint64) {
 	p := m.par
 	c := m.cpus[id]

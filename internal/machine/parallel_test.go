@@ -2,8 +2,6 @@ package machine
 
 import (
 	"reflect"
-	"runtime"
-	"strings"
 	"testing"
 
 	"syncsim/internal/locks"
@@ -40,20 +38,17 @@ func contentionTraces(ncpu int) [][]trace.Event {
 
 // TestParallelSchedEquivalence pins the speculative scheduler to the
 // calendar bit-for-bit, invariant checker ON in both runs, across lock
-// algorithms, both consistency models and several worker counts. The
-// checker makes this the strongest machine-level gate: every committed
+// algorithms and both consistency models. The checker makes this the strongest machine-level gate: every committed
 // state the speculation produces must also satisfy the Illinois, lock and
 // monotonicity invariants mid-run.
 func TestParallelSchedEquivalence(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const ncpu = 12
 	cpus := contentionTraces(ncpu)
 
-	runWith := func(sched SchedKind, workers int, alg locks.Algorithm, cons Consistency) *Result {
+	runWith := func(sched SchedKind, alg locks.Algorithm, cons Consistency) *Result {
 		t.Helper()
 		cfg := defCfg()
 		cfg.Sched = sched
-		cfg.Workers = workers
 		cfg.Check = true
 		cfg.Lock = alg
 		cfg.Consistency = cons
@@ -67,7 +62,7 @@ func TestParallelSchedEquivalence(t *testing.T) {
 		}
 		res, err := m.Run()
 		if err != nil {
-			t.Fatalf("Run(%v workers=%d %v %v): %v", sched, workers, alg, cons, err)
+			t.Fatalf("Run(%v %v %v): %v", sched, alg, cons, err)
 		}
 		res.Config = Config{}
 		res.Sched = SchedStats{}
@@ -76,13 +71,11 @@ func TestParallelSchedEquivalence(t *testing.T) {
 
 	for _, alg := range []locks.Algorithm{locks.Queue, locks.TTS, locks.TTSBackoff} {
 		for _, cons := range []Consistency{SeqConsistent, WeakOrdering} {
-			calendar := runWith(SchedCalendar, 0, alg, cons)
-			for _, workers := range []int{0, 2, 8} {
-				parallel := runWith(SchedParallel, workers, alg, cons)
-				if !reflect.DeepEqual(calendar, parallel) {
-					t.Errorf("%v/%v workers=%d: parallel diverges from calendar:\ncalendar: %+v\nparallel: %+v",
-						alg, cons, workers, calendar, parallel)
-				}
+			calendar := runWith(SchedCalendar, alg, cons)
+			parallel := runWith(SchedParallel, alg, cons)
+			if !reflect.DeepEqual(calendar, parallel) {
+				t.Errorf("%v/%v: parallel diverges from calendar:\ncalendar: %+v\nparallel: %+v",
+					alg, cons, calendar, parallel)
 			}
 		}
 	}
@@ -162,69 +155,5 @@ func TestParallelFallbackNonRewindable(t *testing.T) {
 	got.Sched, want.Sched = SchedStats{}, SchedStats{}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fallback diverges from calendar:\ncalendar: %+v\nfallback: %+v", want, got)
-	}
-}
-
-// panicSource is a rewindable source that panics after a fixed number of
-// events, modeling a poisoned trace discovered mid-speculation.
-type panicSource struct {
-	inner *trace.Buffer
-	left  int
-}
-
-func (p *panicSource) Next() (trace.Event, bool) {
-	if p.left <= 0 {
-		panic("panicSource: poisoned event")
-	}
-	p.left--
-	return p.inner.Next()
-}
-
-func (p *panicSource) Mark() trace.Mark  { return p.inner.Mark() }
-func (p *panicSource) Seek(m trace.Mark) { p.inner.Seek(m) }
-
-// TestParallelWorkerPanicPropagates: a panic inside a pool worker's
-// speculative advance must surface as a coordinator panic (for the
-// engine's panic barrier to convert), not hang the join or leak the pool.
-func TestParallelWorkerPanicPropagates(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	before := runtime.NumGoroutine()
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("worker panic did not propagate")
-			}
-			if !strings.Contains(r.(string), "parallel advance") || !strings.Contains(r.(string), "poisoned") {
-				t.Fatalf("panic value %q does not carry the worker context", r)
-			}
-		}()
-		cpus := contentionTraces(8)
-		set := trace.BufferSet("poisoned", cpus)
-		for i, src := range set.Sources {
-			// One good event each: the opening Exec burst is consumed by
-			// the cycle-0 pre-dispatched advance, so the poisoned second
-			// event panics inside a pool worker, not on the coordinator.
-			set.Sources[i] = &panicSource{inner: src.(*trace.Buffer), left: 1}
-		}
-		cfg := defCfg()
-		cfg.Sched = SchedParallel
-		cfg.Workers = 4
-		m, err := New(set, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.par == nil {
-			t.Fatal("parallel executor not built over panicSource (Marker not detected)")
-		}
-		_, _ = m.Run()
-	}()
-	// The deferred pool shutdown must have run despite the panic unwinding
-	// through runParallel.
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
-	}
-	if now := runtime.NumGoroutine(); now > before {
-		t.Errorf("worker goroutines leaked after panic: %d before, %d after", before, now)
 	}
 }

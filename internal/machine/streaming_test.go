@@ -44,7 +44,6 @@ func TestParallelStreamingFallback(t *testing.T) {
 	}()
 
 	cfg.Sched = SchedParallel
-	cfg.Workers = 4
 	m, err := New(ring.Set(), cfg)
 	if err != nil {
 		t.Fatal(err)

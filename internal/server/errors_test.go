@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"syncsim/internal/api"
 	"syncsim/internal/chaos"
 	"syncsim/internal/engine"
 	"syncsim/internal/machine"
@@ -95,7 +96,6 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 		{name: "invalid machine config", body: `{"bench":"Qsort","lock":"mutex"}`, status: http.StatusBadRequest},
 		{name: "unknown scheduler", body: `{"bench":"Qsort","sched":"speculative"}`, status: http.StatusBadRequest},
 		{name: "negative workers", body: `{"bench":"Qsort","sched":"parallel","workers":-1}`, status: http.StatusBadRequest},
-		{name: "workers without parallel sched", body: `{"bench":"Qsort","workers":4}`, status: http.StatusBadRequest},
 		{name: "body too large", body: bigBody, status: http.StatusRequestEntityTooLarge},
 		{name: "invariant violation", body: `{"bench":"Qsort","scale":0.01,"seed":11}`,
 			inject: fmt.Errorf("cycle 9: %w", machine.ErrInvariant), arm: true, status: http.StatusUnprocessableEntity},
@@ -194,11 +194,11 @@ func TestHandlerRecoverer(t *testing.T) {
 	leakCheck(t)
 	s := New(Config{Workers: 1, Logf: t.Logf})
 	defer s.Close()
-	job, err := normalizeSim(SimRequest{Bench: "Qsort", Scale: 0.01})
+	job, err := normalizeSim(api.SimRequest{Bench: "Qsort", Scale: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.results.put(job.key, "poison: not a *SimPayload")
+	s.results.Put(job.key, "poison: not a *api.SimPayload")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -19,28 +19,13 @@ import (
 // Clients reproducing paper magnitudes ask for them explicitly.
 const defaultScale = 0.2
 
-// The wire types live in internal/api (the versioned contract both client
-// and server depend on). These aliases keep one release of compatibility
-// for code that referred to them through this package.
-//
-// Deprecated: use the internal/api types directly.
-type (
-	SimRequest    = api.SimRequest
-	SimPayload    = api.SimPayload
-	SimResponse   = api.SimResponse
-	SweepRequest  = api.SweepRequest
-	SweepOutcome  = api.SweepOutcome
-	SweepPayload  = api.SweepPayload
-	SweepResponse = api.SweepResponse
-)
-
-// simJob is a validated, canonicalised SimRequest ready to execute. Its
+// simJob is a validated, canonicalised api.SimRequest ready to execute. Its
 // key is what coalescing and the result cache operate on: two requests
 // with the same key are guaranteed byte-identical traces (the engine.Key
 // contract) simulated under identical machine configs, hence identical
 // results.
 type simJob struct {
-	req    SimRequest // canonicalised copy, echoed in responses
+	req    api.SimRequest // canonicalised copy, echoed in responses
 	prog   workload.Program
 	params workload.Params
 	cfg    machine.Config
@@ -48,7 +33,7 @@ type simJob struct {
 }
 
 // normalizeSim validates a request and resolves it to a runnable job.
-func normalizeSim(req SimRequest) (simJob, error) {
+func normalizeSim(req api.SimRequest) (simJob, error) {
 	if req.Bench == "" {
 		return simJob{}, fmt.Errorf("missing bench (one of %v)", suite.Names())
 	}
@@ -99,11 +84,7 @@ func normalizeSim(req SimRequest) (simJob, error) {
 	if req.Workers < 0 {
 		return simJob{}, fmt.Errorf("negative workers %d", req.Workers)
 	}
-	if req.Workers > 0 && sched != machine.SchedParallel {
-		return simJob{}, fmt.Errorf("workers only applies to sched %q, got sched %q",
-			machine.SchedParallel, req.Sched)
-	}
-	cfg.Workers = req.Workers
+	req.Workers = 0 // deprecated and ignored
 	cfg.Check = req.Check
 
 	params := workload.Params{NCPU: req.NCPU, Scale: req.Scale, Seed: req.Seed}
@@ -119,19 +100,19 @@ func normalizeSim(req SimRequest) (simJob, error) {
 		prog:   b.Program,
 		params: params,
 		cfg:    cfg,
-		// Sched and workers are keyed although every scheduler produces
-		// identical statistics: the payload echoes the request and the
-		// result's config, which must reflect what was asked for.
-		key: fmt.Sprintf("sim|%s|%d|%g|%d|%s|%s|%s|%d|%t",
-			k.Workload, k.NCPU, k.Scale, k.Seed, req.Lock, req.Cons, req.Sched, req.Workers, req.Check),
+		// Sched is keyed although every scheduler produces identical
+		// statistics: the payload echoes the request and the result's
+		// config, which must reflect what was asked for.
+		key: fmt.Sprintf("sim|%s|%d|%g|%d|%s|%s|%s|%t",
+			k.Workload, k.NCPU, k.Scale, k.Seed, req.Lock, req.Cons, req.Sched, req.Check),
 	}
 	return job, nil
 }
 
-// TaskForRequest resolves a SimRequest to the exact engine.Task the
+// TaskForRequest resolves a api.SimRequest to the exact engine.Task the
 // service would run for it. Differential harnesses use it to replay a
 // served request straight on an engine and demand bit-identical results.
-func TaskForRequest(req SimRequest) (engine.Task, error) {
+func TaskForRequest(req api.SimRequest) (engine.Task, error) {
 	job, err := normalizeSim(req)
 	if err != nil {
 		return engine.Task{}, err
@@ -164,7 +145,7 @@ type analyzeJob struct {
 // cons) with the sim defaults; the perturbation list is canonicalised into
 // the analyzer's application order.
 func normalizeAnalyze(req api.AnalyzeRequest) (analyzeJob, error) {
-	sim, err := normalizeSim(SimRequest{
+	sim, err := normalizeSim(api.SimRequest{
 		Bench: req.Bench, Scale: req.Scale, NCPU: req.NCPU, Seed: req.Seed,
 		Lock: req.Lock, Cons: req.Cons,
 	})
@@ -228,15 +209,15 @@ func AnalyzeJobForRequest(req api.AnalyzeRequest) (replay.Job, error) {
 	return replay.Job{Prog: job.prog, Params: job.params, Config: job.cfg, Request: job.req}, nil
 }
 
-// sweepJob is a validated SweepRequest.
+// sweepJob is a validated api.SweepRequest.
 type sweepJob struct {
-	req    SweepRequest
+	req    api.SweepRequest
 	models []core.Model
 	sel    suite.Selection
 	key    string
 }
 
-func normalizeSweep(req SweepRequest) (sweepJob, error) {
+func normalizeSweep(req api.SweepRequest) (sweepJob, error) {
 	if req.Scale == 0 {
 		req.Scale = defaultScale
 	}

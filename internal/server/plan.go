@@ -15,12 +15,12 @@ import (
 // cell produces requests (and therefore results, and cache entries)
 // byte-identical to a single backend executing the whole sweep locally.
 
-// SimPlan is the execution plan of one SimRequest.
+// SimPlan is the execution plan of one api.SimRequest.
 type SimPlan struct {
 	// Request is the canonicalised request (defaults applied, spellings
 	// normalised) — the form the service echoes in payloads.
 	Request api.SimRequest
-	// Key is the job's result-cache key: L1 (resultLRU) and the shared
+	// Key is the job's result-cache key: the in-memory L1 and the shared
 	// L2 store both index by it.
 	Key string
 	// Route is the content-addressed trace key (engine.KeyFor). The
@@ -29,7 +29,7 @@ type SimPlan struct {
 	Route engine.Key
 }
 
-// PlanSim resolves a SimRequest exactly as POST /v1/sim would, returning
+// PlanSim resolves a api.SimRequest exactly as POST /v1/sim would, returning
 // its plan instead of executing it.
 func PlanSim(req api.SimRequest) (SimPlan, error) {
 	job, err := normalizeSim(req)
@@ -56,7 +56,7 @@ type SweepCell struct {
 	Plan SimPlan
 }
 
-// SweepPlan describes how the fleet executes a SweepRequest: the
+// SweepPlan describes how the fleet executes a api.SweepRequest: the
 // canonical request and sweep cache key (identical to a single backend's)
 // plus the cell grid in suite × model order — the exact order core's
 // runMatrix enumerates, which the merger relies on.
@@ -79,7 +79,7 @@ var modelWire = map[string]struct{ lock, cons string }{
 	"wo":    {lock: "queue", cons: "wo"},
 }
 
-// PlanSweep resolves a SweepRequest exactly as POST /v1/sweep would and
+// PlanSweep resolves a api.SweepRequest exactly as POST /v1/sweep would and
 // expands it into its cell grid.
 func PlanSweep(req api.SweepRequest) (SweepPlan, error) {
 	job, err := normalizeSweep(req)

@@ -42,6 +42,8 @@ import (
 	"syncsim/internal/core"
 	"syncsim/internal/engine"
 	"syncsim/internal/fleet/store"
+	"syncsim/internal/flight"
+	"syncsim/internal/lru"
 	"syncsim/internal/machine"
 	"syncsim/internal/metrics"
 	"syncsim/internal/predict"
@@ -114,11 +116,8 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 2 * time.Minute
 	}
-	switch {
-	case c.ResultCacheSize == 0:
+	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 256
-	case c.ResultCacheSize < 0:
-		c.ResultCacheSize = 0
 	}
 	switch {
 	case c.TraceCacheCap == 0:
@@ -145,8 +144,8 @@ type Server struct {
 	traceCache *engine.TraceCache
 	eng        *engine.Engine
 	adm        *admission
-	flights    *flightGroup
-	results    *resultLRU
+	flights    flight.Group[any]
+	results    *lru.Cache[string, any] // completed payloads (*api.SimPayload etc.)
 	store      store.Store
 
 	reg       *metrics.Registry
@@ -203,8 +202,7 @@ func New(cfg Config) *Server {
 	s.traceCache = engine.NewTraceCacheCap(cfg.TraceCacheCap)
 	s.eng = engine.New(engine.Config{Workers: cfg.Workers, Cache: s.traceCache, Chaos: cfg.Chaos})
 	s.adm = newAdmission(cfg.Workers, cfg.QueueDepth)
-	s.flights = newFlightGroup()
-	s.results = newResultLRU(cfg.ResultCacheSize)
+	s.results = lru.New[string, any](cfg.ResultCacheSize)
 
 	s.reg = metrics.New()
 	s.accepted = s.reg.Counter("jobs_accepted")
@@ -303,7 +301,7 @@ func (s *Server) gauges() map[string]int64 {
 		"queue_depth":          int64(s.adm.queued()),
 		"jobs_running":         int64(s.adm.running()),
 		"inflight_requests":    s.inflight.Load(),
-		"result_cache_len":     int64(s.results.len()),
+		"result_cache_len":     int64(s.results.Len()),
 		"trace_cache_len":      int64(tc.Len),
 		"trace_cache_cap":      int64(tc.Cap),
 		"trace_cache_hit":      tc.Hits,
@@ -480,7 +478,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 
-	var req SimRequest
+	var req api.SimRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeError(w, r, fmt.Errorf("%w: %w", errBadRequest, err))
 		return
@@ -496,36 +494,49 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SimResponse{SimPayload: payload, Served: served})
+	writeJSON(w, http.StatusOK, api.SimResponse{SimPayload: payload, Served: served})
+}
+
+// coalesce runs fn once among concurrent requests for the same job key.
+// The job runs under the server's lifetime context with the per-job
+// timeout, not under any one request's context (see flight.Group).
+func (s *Server) coalesce(r *http.Request, key string, fn func(context.Context) (any, error)) (any, bool, error) {
+	jobCtx := s.baseCtx
+	if s.cfg.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		jobCtx, cancel = context.WithTimeout(jobCtx, s.cfg.JobTimeout)
+		defer cancel()
+	}
+	return s.flights.Do(r.Context(), jobCtx, key, fn)
 }
 
 // simResult serves one validated simulation job through the shared
 // machinery — result cache, single-flight coalescing, then a real run —
 // and reports how it was served (cache/coalesced/run). Both /v1/sim and
 // /v1/predict's simulation fallback go through here.
-func (s *Server) simResult(r *http.Request, job simJob) (*SimPayload, string, error) {
-	if p, ok := s.results.get(job.key); ok {
+func (s *Server) simResult(r *http.Request, job simJob) (*api.SimPayload, string, error) {
+	if p, ok := s.results.Get(job.key); ok {
 		s.cacheHits.Inc()
-		return p.(*SimPayload), "cache", nil
+		return p.(*api.SimPayload), "cache", nil
 	}
-	if p := storeGet[SimPayload](s, job.key); p != nil {
+	if p := storeGet[api.SimPayload](s, job.key); p != nil {
 		return p, "store", nil
 	}
-	val, shared, err := s.flights.do(r.Context(), s.baseCtx, s.cfg.JobTimeout, job.key,
+	val, shared, err := s.coalesce(r, job.key,
 		func(jobCtx context.Context) (any, error) { return s.runSim(jobCtx, job) })
 	if err != nil {
 		return nil, "", err
 	}
 	if shared {
 		s.coalesced.Inc()
-		return val.(*SimPayload), "coalesced", nil
+		return val.(*api.SimPayload), "coalesced", nil
 	}
-	return val.(*SimPayload), "run", nil
+	return val.(*api.SimPayload), "run", nil
 }
 
 // runSim executes one validated simulation job on the engine pool, under
 // the chaos plane's job-boundary faults and the liveness watchdog.
-func (s *Server) runSim(ctx context.Context, job simJob) (*SimPayload, error) {
+func (s *Server) runSim(ctx context.Context, job simJob) (*api.SimPayload, error) {
 	if s.chaos.Should(chaos.QueueFull) {
 		return nil, errBusy
 	}
@@ -548,8 +559,8 @@ func (s *Server) runSim(ctx context.Context, job simJob) (*SimPayload, error) {
 	s.recordSuite(rep)
 	s.completed.Inc()
 	tr := results[0]
-	p := &SimPayload{Request: job.req, Ideal: tr.Ideal, Result: tr.Result, Report: tr.Report}
-	s.results.put(job.key, p)
+	p := &api.SimPayload{Request: job.req, Ideal: tr.Ideal, Result: tr.Result, Report: tr.Report}
+	s.results.Put(job.key, p)
 	s.storePut(job.key, p)
 	return p, nil
 }
@@ -571,7 +582,7 @@ func storeGet[P any](s *Server, key string) *P {
 		return nil
 	}
 	s.storeHits.Inc()
-	s.results.put(key, p)
+	s.results.Put(key, p)
 	return p
 }
 
@@ -606,12 +617,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if p, ok := s.results.get(job.key); ok {
+	if p, ok := s.results.Get(job.key); ok {
 		s.cacheHits.Inc()
 		writeJSON(w, http.StatusOK, api.AnalyzeResponse{AnalyzePayload: p.(*api.AnalyzePayload), Served: "cache"})
 		return
 	}
-	val, shared, err := s.flights.do(r.Context(), s.baseCtx, s.cfg.JobTimeout, job.key,
+	val, shared, err := s.coalesce(r, job.key,
 		func(jobCtx context.Context) (any, error) { return s.runAnalyze(jobCtx, job) })
 	if err != nil {
 		s.writeError(w, r, err)
@@ -656,7 +667,7 @@ func (s *Server) runAnalyze(ctx context.Context, job analyzeJob) (*api.AnalyzePa
 		return nil, resolveWedged(wctx, err)
 	}
 	s.completed.Inc()
-	s.results.put(job.key, payload)
+	s.results.Put(job.key, payload)
 	return payload, nil
 }
 
@@ -667,7 +678,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 
-	var req SweepRequest
+	var req api.SweepRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeError(w, r, fmt.Errorf("%w: %w", errBadRequest, err))
 		return
@@ -678,17 +689,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if p, ok := s.results.get(job.key); ok {
+	if p, ok := s.results.Get(job.key); ok {
 		s.cacheHits.Inc()
-		writeJSON(w, http.StatusOK, SweepResponse{SweepPayload: p.(*SweepPayload), Served: "cache"})
+		writeJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p.(*api.SweepPayload), Served: "cache"})
 		return
 	}
-	if p := storeGet[SweepPayload](s, job.key); p != nil {
-		writeJSON(w, http.StatusOK, SweepResponse{SweepPayload: p, Served: "store"})
+	if p := storeGet[api.SweepPayload](s, job.key); p != nil {
+		writeJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: p, Served: "store"})
 		return
 	}
 
-	val, shared, err := s.flights.do(r.Context(), s.baseCtx, s.cfg.JobTimeout, job.key,
+	val, shared, err := s.coalesce(r, job.key,
 		func(jobCtx context.Context) (any, error) { return s.runSweep(jobCtx, job) })
 	if err != nil {
 		s.writeError(w, r, err)
@@ -699,13 +710,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		served = "coalesced"
 		s.coalesced.Inc()
 	}
-	writeJSON(w, http.StatusOK, SweepResponse{SweepPayload: val.(*SweepPayload), Served: served})
+	writeJSON(w, http.StatusOK, api.SweepResponse{SweepPayload: val.(*api.SweepPayload), Served: served})
 }
 
 // runSweep executes one validated sweep job: the full benchmark × model
 // matrix through core, sharing the server's bounded trace cache so sweeps
 // and single simulations memoise the same traces.
-func (s *Server) runSweep(ctx context.Context, job sweepJob) (*SweepPayload, error) {
+func (s *Server) runSweep(ctx context.Context, job sweepJob) (*api.SweepPayload, error) {
 	if s.chaos.Should(chaos.QueueFull) {
 		return nil, errBusy
 	}
@@ -741,9 +752,9 @@ func (s *Server) runSweep(ctx context.Context, job sweepJob) (*SweepPayload, err
 	s.recordSuite(suiteRep)
 	s.completed.Inc()
 
-	p := &SweepPayload{Request: job.req, Report: suiteRep}
+	p := &api.SweepPayload{Request: job.req, Report: suiteRep}
 	for _, o := range outs {
-		out := SweepOutcome{
+		out := api.SweepOutcome{
 			Name:    o.Name,
 			Params:  o.Params,
 			Ideal:   o.Ideal,
@@ -755,7 +766,7 @@ func (s *Server) runSweep(ctx context.Context, job sweepJob) (*SweepPayload, err
 		}
 		p.Outcomes = append(p.Outcomes, out)
 	}
-	s.results.put(job.key, p)
+	s.results.Put(job.key, p)
 	s.storePut(job.key, p)
 	return p, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"syncsim/internal/api"
 	"syncsim/internal/engine"
 	"syncsim/internal/machine"
 	"syncsim/internal/metrics"
@@ -24,9 +24,9 @@ import (
 // postSim POSTs a /v1/sim body and decodes the response. It reports
 // failures with t.Errorf (never Fatalf) so it is safe to call from helper
 // goroutines; callers must check resp for nil.
-func postSim(t *testing.T, ts *httptest.Server, body string) (SimResponse, *http.Response) {
+func postSim(t *testing.T, ts *httptest.Server, body string) (api.SimResponse, *http.Response) {
 	t.Helper()
-	var out SimResponse
+	var out api.SimResponse
 	resp, err := http.Post(ts.URL+"/v1/sim", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Errorf("POST /v1/sim: %v", err)
@@ -71,7 +71,7 @@ func TestEndToEndSim(t *testing.T) {
 	}
 
 	// Same configuration, straight through the engine.
-	job, err := normalizeSim(SimRequest{Bench: "Qsort", Scale: 0.01, Seed: 3, Lock: "tts", Cons: "wo"})
+	job, err := normalizeSim(api.SimRequest{Bench: "Qsort", Scale: 0.01, Seed: 3, Lock: "tts", Cons: "wo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,9 @@ func TestEndToEndSim(t *testing.T) {
 // calendar and the speculative parallel scheduler and demands identical
 // statistics on the wire: the scheduler is an implementation knob, never
 // an observable one. The two requests must not share a cache entry (their
-// echoed requests differ), which also pins sched/workers into the result
-// cache key.
+// echoed requests differ), which also pins sched into the result cache
+// key. The deprecated workers field is accepted and dropped: it leaves
+// neither the echo nor the key.
 func TestEndToEndSimParallelSched(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -116,8 +117,12 @@ func TestEndToEndSimParallelSched(t *testing.T) {
 	if parallel.Served != "run" {
 		t.Errorf("parallel served = %q, want run (sched must be part of the cache key)", parallel.Served)
 	}
-	if parallel.Request.Sched != "parallel" || parallel.Request.Workers != 4 {
-		t.Errorf("request echo lost the scheduler: %+v", parallel.Request)
+	if parallel.Request.Sched != "parallel" || parallel.Request.Workers != 0 {
+		t.Errorf("request echo lost the scheduler or kept workers: %+v", parallel.Request)
+	}
+	again, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":3,"sched":"parallel"}`)
+	if resp == nil || resp.StatusCode != http.StatusOK || again.Served != "cache" {
+		t.Errorf("workers is part of the cache key: served = %q, want cache", again.Served)
 	}
 	if serial.Request.Sched != "calendar" {
 		t.Errorf("omitted sched not canonicalised to calendar: %+v", serial.Request)
@@ -148,7 +153,7 @@ func TestEndToEndSweep(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
 	}
-	var out SweepResponse
+	var out api.SweepResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +288,7 @@ func TestBackpressure(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	first := make(chan SimResponse, 1)
+	first := make(chan api.SimResponse, 1)
 	go func() {
 		out, _ := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":1}`)
 		first <- out
@@ -319,7 +324,7 @@ func TestGracefulDrain(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	inFlight := make(chan SimResponse, 1)
+	inFlight := make(chan api.SimResponse, 1)
 	status := make(chan int, 1)
 	go func() {
 		out, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01}`)
@@ -393,7 +398,7 @@ func TestLeaderDisconnectKeepsFollowers(t *testing.T) {
 	}()
 	waitFor(t, "leader to start the job", func() bool { return runs.Load() == 1 })
 
-	follower := make(chan SimResponse, 1)
+	follower := make(chan api.SimResponse, 1)
 	go func() {
 		out, _ := postSim(t, ts, `{"bench":"Qsort","scale":0.01}`)
 		follower <- out
@@ -477,22 +482,5 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !bytes.Contains(raw, []byte(want)) {
 			t.Errorf("metrics missing %q in:\n%s", want, raw)
 		}
-	}
-}
-
-// TestResultLRUBound checks the result cache honours its capacity.
-func TestResultLRUBound(t *testing.T) {
-	c := newResultLRU(3)
-	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("k%d", i), i)
-		if c.len() > 3 {
-			t.Fatalf("len = %d > cap 3 after %d inserts", c.len(), i+1)
-		}
-	}
-	if _, ok := c.get("k9"); !ok {
-		t.Error("most recent entry evicted")
-	}
-	if _, ok := c.get("k0"); ok {
-		t.Error("oldest entry not evicted")
 	}
 }

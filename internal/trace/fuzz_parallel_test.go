@@ -81,7 +81,6 @@ func FuzzParallelSched(f *testing.F) {
 
 		pcfg := cfg
 		pcfg.Sched = machine.SchedParallel
-		pcfg.Workers = 1 + len(data)%5 // 1..5: inline and pool paths both fuzzed
 		parallel, perr := machine.Run(trace.BufferSet("fuzz", cpus), pcfg)
 
 		switch {

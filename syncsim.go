@@ -24,8 +24,7 @@
 // Suite runs execute on a concurrent experiment engine: the (benchmark ×
 // model) matrix is scheduled over a bounded worker pool, generated traces
 // are memoised so every model replays the same trace, and runs are
-// cancellable through the context. The struct-based RunSuite/RunBenchmark
-// entry points remain as deprecated wrappers.
+// cancellable through the context.
 package syncsim
 
 import (
@@ -241,18 +240,6 @@ func RunSuiteCtx(ctx context.Context, opts ...Option) ([]*Outcome, error) {
 // concurrently and cancellably.
 func RunBenchmarkCtx(ctx context.Context, b Benchmark, opts ...Option) (*Outcome, error) {
 	return core.RunBenchmarkCtx(ctx, b, core.NewOptions(opts...))
-}
-
-// RunSuite runs the benchmark suite under the selected models.
-//
-// Deprecated: use RunSuiteCtx with functional options.
-func RunSuite(opts Options) ([]*Outcome, error) { return core.RunSuite(opts) }
-
-// RunBenchmark runs a single benchmark under the selected models.
-//
-// Deprecated: use RunBenchmarkCtx with functional options.
-func RunBenchmark(b Benchmark, opts Options) (*Outcome, error) {
-	return core.RunBenchmark(b, opts)
 }
 
 // Table renderers (the paper's Tables 1-8 plus the §3.2 decomposition).

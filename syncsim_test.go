@@ -61,12 +61,12 @@ func TestFacadeConstantsDistinct(t *testing.T) {
 }
 
 func TestFacadeRunSuiteAndTables(t *testing.T) {
-	outs, err := RunSuite(Options{
-		Scale:  0.02,
-		Seed:   1,
-		Only:   []string{"FullConn"},
-		Models: []Model{ModelQueue, ModelTTS, ModelWO},
-	})
+	outs, err := RunSuiteCtx(context.Background(),
+		WithScale(0.02),
+		WithSeed(1),
+		WithOnly("FullConn"),
+		WithModels(ModelQueue, ModelTTS, ModelWO),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
