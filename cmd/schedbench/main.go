@@ -7,11 +7,11 @@
 //
 // Usage:
 //
-//	schedbench                      # table on stdout, calendar scheduler
-//	schedbench -sched both -reps 5  # calendar and polling side by side
-//	schedbench -sched all           # all three, incl. speculative parallel
-//	schedbench -only Grav,Pdsa      # focused subset of the benchmarks
-//	schedbench -json out.json       # machine-readable report
+//	schedbench                                # table on stdout, calendar scheduler
+//	schedbench -sched calendar,polling -reps 5  # calendar and polling side by side
+//	schedbench -sched all                     # every scheduler, incl. parallel run-ahead
+//	schedbench -only Grav,Pdsa                # focused subset of the benchmarks
+//	schedbench -json out.json                 # machine-readable report
 package main
 
 import (
@@ -71,27 +71,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 0.05, "workload scale")
 	seed := fs.Int64("seed", 1, "generation seed")
 	reps := fs.Int("reps", 5, "repetitions per cell; the best time is kept")
-	schedFlag := fs.String("sched", "calendar", "scheduler(s) to time: calendar, polling, parallel, both (calendar+polling), or all")
+	schedFlag := fs.String("sched", "calendar", "comma-separated scheduler(s) to time ("+strings.Join(machine.SchedulerNames(), ", ")+"), or all")
 	only := fs.String("only", "", "comma-separated benchmark subset (default: all six)")
 	jsonPath := fs.String("json", "", "also write the report as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var scheds []machine.SchedKind
-	switch *schedFlag {
-	case "calendar":
-		scheds = []machine.SchedKind{machine.SchedCalendar}
-	case "polling":
-		scheds = []machine.SchedKind{machine.SchedPolling}
-	case "parallel":
-		scheds = []machine.SchedKind{machine.SchedParallel}
-	case "both":
-		scheds = []machine.SchedKind{machine.SchedCalendar, machine.SchedPolling}
-	case "all":
-		scheds = []machine.SchedKind{machine.SchedCalendar, machine.SchedPolling, machine.SchedParallel}
-	default:
-		return fmt.Errorf("unknown -sched %q (want calendar, polling, parallel, both, all)", *schedFlag)
+	scheds := machine.Schedulers()
+	if *schedFlag != "all" {
+		scheds = nil
+		for _, name := range strings.Split(*schedFlag, ",") {
+			sched, err := machine.ParseSched(name)
+			if err != nil {
+				return err
+			}
+			scheds = append(scheds, sched)
+		}
 	}
 	models := []core.Model{core.ModelQueue, core.ModelTTS, core.ModelWO}
 

@@ -483,6 +483,13 @@ func (c *Cache) Snoop(addr uint32, op SnoopOp) SnoopResult {
 	if ln == nil {
 		return SnoopResult{}
 	}
+	return c.snoopLine(ln, addr, op)
+}
+
+// snoopLine applies Snoop's transition to ln, the valid line holding addr.
+// It is the one snoop transition, shared by Snoop and the speculation
+// journal's snoop paths.
+func (c *Cache) snoopLine(ln *line, addr uint32, op SnoopOp) SnoopResult {
 	res := SnoopResult{HadCopy: true, WasDirty: ln.state == Modified}
 	c.stats.SnoopHits++
 	switch op {

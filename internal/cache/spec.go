@@ -154,15 +154,12 @@ func (j *Journal) ProbeFast(addr uint32, isWrite bool, cycle uint64) bool {
 	return true
 }
 
-// Conflicts reports whether a remote snoop of op at bus cycle g
-// invalidates the current speculation window. Probes at exactly g do not
-// conflict: the serial machine performs the cycle's processor work before
-// the cycle's bus grant.
-func (j *Journal) Conflicts(addr uint32, op SnoopOp, g uint64) bool {
-	idx := j.c.findIndex(addr)
-	if idx < 0 {
-		return false
-	}
+// conflicts reports whether a remote snoop of op at bus cycle g
+// invalidates the current speculation window, given the index of the
+// valid line the snoop hits. Probes at exactly g do not conflict: the
+// serial machine performs the cycle's processor work before the cycle's
+// bus grant.
+func (j *Journal) conflicts(idx int, op SnoopOp, g uint64) bool {
 	s := &j.lines[idx]
 	if s.epoch != j.epoch {
 		return false
@@ -175,58 +172,28 @@ func (j *Journal) Conflicts(addr uint32, op SnoopOp, g uint64) bool {
 
 // Snoop applies a remote bus transaction through the journal: the ordinary
 // Snoop transition plus the first-touch undo record, so a later rollback
-// restores the line. The caller must have established (via Conflicts) that
-// the application is either conflict-free or part of an in-order replay.
+// restores the line. It is SnoopConflicts without the conflict question,
+// for callers that know the application is conflict-free or part of an
+// in-order replay.
 func (j *Journal) Snoop(addr uint32, op SnoopOp) SnoopResult {
-	if idx := j.c.findIndex(addr); idx >= 0 {
-		j.touch(idx)
-	}
-	return j.c.Snoop(addr, op)
+	res, _ := j.SnoopConflicts(addr, op, 0)
+	return res
 }
 
-// SnoopConflicts fuses Conflicts and Snoop into a single line lookup — the
-// bus-side hot path for a speculating processor, called for every remote
-// transaction that fans out to its cache. The returned conflict flag
-// reports whether the snoop at bus cycle g invalidates the current
-// speculation window (see Conflicts); the snoop itself is always applied,
+// SnoopConflicts applies a remote snoop through the journal with a single
+// line lookup — the bus-side hot path for a speculating processor, called
+// for every remote transaction that fans out to its cache. The returned
+// conflict flag reports whether the snoop at bus cycle g invalidates the
+// current speculation window; the snoop itself is always applied,
 // journaled for rollback.
 func (j *Journal) SnoopConflicts(addr uint32, op SnoopOp, g uint64) (SnoopResult, bool) {
-	c := j.c
-	idx := c.findIndex(addr)
+	idx := j.c.findIndex(addr)
 	if idx < 0 {
 		return SnoopResult{}, false
 	}
-	conflict := false
-	if s := &j.lines[idx]; s.epoch == j.epoch {
-		if op == SnoopRead {
-			conflict = s.lastWrite > g
-		} else {
-			conflict = s.lastProbe > g
-		}
-	}
+	conflict := j.conflicts(idx, op, g)
 	j.touch(idx)
-	// The Snoop state transition, applied to the already-found line.
-	ln := &c.lines[idx]
-	res := SnoopResult{HadCopy: true, WasDirty: ln.state == Modified}
-	c.stats.SnoopHits++
-	switch op {
-	case SnoopRead:
-		res.Supplied = true
-		c.stats.SnoopSupply++
-		ln.state = Shared
-	case SnoopReadOwn:
-		res.Supplied = true
-		c.stats.SnoopSupply++
-		ln.state = Invalid
-		c.stats.Invalidated++
-	case SnoopInvalidate:
-		ln.state = Invalid
-		c.stats.Invalidated++
-	}
-	if ln.state == Invalid && c.onResident != nil {
-		c.onResident(c.cfg.LineAddr(addr), false)
-	}
-	return res, conflict
+	return j.c.snoopLine(&j.c.lines[idx], addr, op), conflict
 }
 
 // Rollback closes the window discarding all speculative state: every

@@ -72,30 +72,34 @@ func TestJournalConflicts(t *testing.T) {
 	if !j.ProbeFast(0x200, true, 12) {
 		t.Fatal("write should hit")
 	}
+	conflicts := func(addr uint32, op SnoopOp, g uint64) bool {
+		idx := c.findIndex(addr)
+		return idx >= 0 && j.conflicts(idx, op, g)
+	}
 
-	if j.Conflicts(0x100, SnoopRead, 5) {
+	if conflicts(0x100, SnoopRead, 5) {
 		t.Fatal("read snoop vs later read must not conflict")
 	}
-	if !j.Conflicts(0x100, SnoopInvalidate, 5) {
+	if !conflicts(0x100, SnoopInvalidate, 5) {
 		t.Fatal("invalidation vs later read must conflict")
 	}
-	if j.Conflicts(0x100, SnoopInvalidate, 10) {
+	if conflicts(0x100, SnoopInvalidate, 10) {
 		t.Fatal("probe at exactly the snoop cycle must not conflict")
 	}
-	if !j.Conflicts(0x200, SnoopRead, 5) {
+	if !conflicts(0x200, SnoopRead, 5) {
 		t.Fatal("read snoop vs later write must conflict")
 	}
-	if j.Conflicts(0x200, SnoopRead, 12) {
+	if conflicts(0x200, SnoopRead, 12) {
 		t.Fatal("write at exactly the snoop cycle must not conflict")
 	}
-	if j.Conflicts(0x300, SnoopReadOwn, 0) {
+	if conflicts(0x300, SnoopReadOwn, 0) {
 		t.Fatal("absent line cannot conflict")
 	}
 	// A line the window never touched cannot conflict even though it was
 	// stamped in an earlier window.
 	j.Commit()
 	j.Begin()
-	if j.Conflicts(0x100, SnoopInvalidate, 0) {
+	if conflicts(0x100, SnoopInvalidate, 0) {
 		t.Fatal("stale stamps from a committed window must not conflict")
 	}
 }

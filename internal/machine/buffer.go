@@ -93,7 +93,7 @@ type buffer struct {
 	// paths can skip their per-processor buffer scans when it is zero.
 	wbPending *int
 	// occupied, when non-nil, points at a machine-wide count of non-empty
-	// buffers, letting the run loops skip bus arbitration when no
+	// buffers, letting the run loop skip bus arbitration when no
 	// processor has anything to issue.
 	occupied *int
 }

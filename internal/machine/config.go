@@ -44,9 +44,11 @@ func (c Consistency) String() string {
 	}
 }
 
-// SchedKind selects the simulation-loop scheduler. All schedulers are
-// cycle-exact — they produce bit-identical results — and differ only in
-// how they find the work of each simulated cycle.
+// SchedKind selects the phase-B strategy of the machine's one run loop:
+// which processors a visited cycle steps, and how the next cycle to visit
+// is found. Phases A and C, the guards and the clock advance are shared.
+// All strategies are cycle-exact — they produce bit-identical results —
+// and differ only in how they find the work of each simulated cycle.
 type SchedKind uint8
 
 const (
@@ -55,11 +57,11 @@ const (
 	// perturbed processors, so each visited cycle steps only the CPUs
 	// that can act and the next cycle is a heap pop.
 	SchedCalendar SchedKind = iota
-	// SchedPolling is the original loop: every visited cycle steps every
-	// processor and rescans every component for the next event time. Kept
-	// for differential testing against the calendar scheduler.
+	// SchedPolling is the original strategy: every visited cycle steps
+	// every processor and rescans every component for the next event
+	// time. Kept for differential testing against the calendar.
 	SchedPolling
-	// SchedParallel drives the machine off the same wakeup calendar but
+	// SchedParallel (run-ahead) sweeps the same wakeup calendar but
 	// speculatively runs each processor through its purely-local event
 	// stretches (execution bursts and cache hits) ahead of the global
 	// clock, committing the speculation in calendar order and rolling it
@@ -123,7 +125,7 @@ type Config struct {
 	Lock        locks.Algorithm
 	Consistency Consistency
 
-	// Sched selects the run-loop scheduler; all produce identical
+	// Sched selects the run loop's phase-B strategy; all produce identical
 	// results (see SchedKind). The zero value is the calendar scheduler.
 	Sched SchedKind
 

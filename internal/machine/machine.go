@@ -80,7 +80,7 @@ type Machine struct {
 	wbPending int
 	// occupiedBufs counts processors whose cache-bus buffer is non-empty.
 	// With no buffered entry and no queued memory response, nobody can win
-	// arbitration, so the run loops skip the bus scan outright.
+	// arbitration, so the run loop skips the bus scan outright.
 	occupiedBufs int
 	// nDone counts processors that have retired their trace (entered
 	// stDone, which no state ever leaves), making allDone O(1).
@@ -92,7 +92,8 @@ type Machine struct {
 	droppedWB uint64
 
 	// sched is the wakeup calendar; nil under SchedPolling, in which case
-	// every scheduler hook is a no-op and the original loop runs.
+	// every scheduler hook is a no-op and the run loop takes the polling
+	// strategy.
 	sched *scheduler
 	// par is the speculative parallel executor's state; non-nil only when
 	// Config.Sched is SchedParallel and the configuration supports it
@@ -166,8 +167,8 @@ func New(set *trace.Set, cfg Config) (*Machine, error) {
 		// The speculative executor needs the holder index (to route
 		// snoops at leased processors) and rewindable sources (to replay
 		// a rolled-back speculation). Configurations outside that
-		// envelope silently fall back to the calendar loop — results are
-		// identical by construction, only the execution strategy differs.
+		// envelope silently fall back to the calendar strategy — results
+		// are identical by construction, only the execution differs.
 		m.par = newParExec(m)
 	}
 	return m, nil
@@ -240,16 +241,7 @@ func (m *Machine) RunCtx(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("machine: %s cancelled at cycle %d: %w", m.name, m.now, err)
 	}
 	m.heartbeat = heartbeatFrom(ctx)
-	var err error
-	switch {
-	case m.par != nil:
-		err = m.runParallel(ctx)
-	case m.sched != nil:
-		err = m.runCalendar(ctx)
-	default:
-		err = m.runPolling(ctx)
-	}
-	if err != nil {
+	if err := m.run(ctx); err != nil {
 		return nil, err
 	}
 	if m.checker != nil {
@@ -295,103 +287,21 @@ func (m *Machine) clampToMaxCycles(next uint64) uint64 {
 	return next
 }
 
-// runPolling is the original main loop: every visited cycle steps every
-// processor and rescans every component for the next event time. It is
-// retained for differential testing against the calendar scheduler
-// (TestSchedulerEquivalence) and remains selectable via SchedPolling.
-func (m *Machine) runPolling(ctx context.Context) error {
-	window := m.progressWindow()
-	checkEvery := m.cancelEvery()
-	idleIters := uint64(0)
-	sinceCheck := uint64(0)
-	ready := m.ready // hoisted: a method value allocates per evaluation
-	for {
-		if m.allDone() {
-			break
-		}
-		if sinceCheck++; sinceCheck >= checkEvery {
-			sinceCheck = 0
-			if m.heartbeat != nil {
-				m.heartbeat(m.iters)
-			}
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("machine: %s cancelled at cycle %d: %w", m.name, m.now, err)
-			}
-		}
-		if m.cfg.MaxCycles > 0 && m.now >= m.cfg.MaxCycles {
-			return m.maxCyclesErr()
-		}
-		m.iters++
-		progress := false
-
-		// Phase A: complete the bus transaction ending now; advance the
-		// memory pipeline.
-		if m.txn.active && m.now >= m.txn.at {
-			t := m.txn
-			m.completeTxn()
-			if m.checker != nil {
-				if err := m.checker.afterTxn(t); err != nil {
-					return err
-				}
-			}
-			progress = true
-		}
-		m.mem.Tick(m.now)
-
-		// Phase B: let every processor consume trace events. A processor
-		// made progress if its state changed or it started a new
-		// execution burst (busyUntil strictly advances, so run→run
-		// transitions across an event fetch are still caught).
-		for _, c := range m.cpus {
-			before := c.state
-			beforeBusy := c.busyUntil
-			m.steps++
-			m.step(c, m.now)
-			if c.state != before || c.busyUntil != beforeBusy {
-				progress = true
-			}
-		}
-
-		// Phase C: arbitration. With every buffer empty and no queued
-		// memory response there is no possible grantee, and a grantless
-		// Arbitrate leaves no trace (rrNext only moves on a grant), so the
-		// scan is skipped outright.
-		if m.occupiedBufs != 0 || m.mem.HasResponse() {
-			if granted, ok := m.bus.Arbitrate(m.now, ready); ok {
-				m.grant(granted)
-				progress = true
-			}
-		}
-
-		if progress {
-			idleIters = 0
-		} else {
-			idleIters++
-			if idleIters > window {
-				return fmt.Errorf("machine: %s made no progress for %d iterations at cycle %d (deadlock?): %s",
-					m.name, idleIters, m.now, m.stateDump())
-			}
-		}
-
-		next, ok := m.nextTime()
-		if !ok {
-			if m.allDone() {
-				break
-			}
-			return fmt.Errorf("machine: %s deadlocked at cycle %d: %s", m.name, m.now, m.stateDump())
-		}
-		m.now = m.clampToMaxCycles(next)
-	}
-	return nil
-}
-
-// runCalendar is the default main loop: a wakeup-calendar scheduler. Each
-// visited cycle runs the same three phases as runPolling, but phase B
-// steps only CPUs that are dirty (perturbed at this cycle by a completed
-// transaction, snoop, lock grant or barrier release) or due (a timed
-// wakeup arrived), and the next visited cycle is a heap pop instead of an
-// O(P) rescan. See the commentary in sched.go for why this is cycle-exact.
-func (m *Machine) runCalendar(ctx context.Context) error {
+// run is the machine's main loop. Every visited cycle runs the paper's
+// three phases — complete the bus transaction ending now and advance the
+// memory pipeline (A), let processors consume trace events (B), arbitrate
+// the bus (C) — then advances the clock to the next cycle at which
+// anything can happen. The schedulers differ only in how phase B finds the
+// processors to step and how the next cycle is found:
+//
+//   - polling (no calendar): step every processor, then rescan every
+//     component with nextTime;
+//   - calendar: sweep the dirty set (processors perturbed or due this
+//     cycle), then pop the calendar with nextAfter — see sched.go for why
+//     this is cycle-exact;
+//   - run-ahead: the same dirty sweep, with sweepLease leasing processors
+//     through their purely-local stretches — see parallel.go.
+func (m *Machine) run(ctx context.Context) error {
 	s := m.sched
 	window := m.progressWindow()
 	checkEvery := m.cancelEvery()
@@ -399,16 +309,14 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 	sinceCheck := uint64(0)
 	ready := m.ready // hoisted: a method value allocates per evaluation
 
-	// Every processor starts in stFetch and must consume its first trace
-	// events at cycle 0.
-	for id := range m.cpus {
-		s.mark(id)
-	}
-
-	for {
-		if m.allDone() {
-			break
+	if s != nil {
+		// Every processor starts in stFetch and must consume its first
+		// trace events at cycle 0.
+		for id := range m.cpus {
+			s.mark(id)
 		}
+	}
+	for !m.allDone() {
 		if sinceCheck++; sinceCheck >= checkEvery {
 			sinceCheck = 0
 			if m.heartbeat != nil {
@@ -423,15 +331,18 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 		}
 		m.iters++
 		progress := false
-		// Drain next-cycle wakeups scheduled for this cycle and re-arm the
-		// fast path before any phase runs: phase A and C wakes all target
-		// now+1 and must land in the fresh mask.
-		s.startCycle(m.now)
+		if s != nil {
+			// Drain next-cycle wakeups scheduled for this cycle and re-arm
+			// the fast path before any phase runs: phase A and C wakes all
+			// target now+1 and must land in the fresh mask.
+			s.startCycle(m.now)
+		}
 
 		// Phase A: complete the bus transaction ending now; advance the
-		// memory pipeline. Transaction completion marks the perturbed
-		// CPUs dirty; the memory module registers its own completion
-		// wakeup through the Notify hook inside Tick.
+		// memory pipeline. Completion marks the perturbed processors dirty;
+		// the memory module registers its own completion wakeup through
+		// the Notify hook inside Tick. Neither can target a leased
+		// processor (no buffered entries, no blocked states).
 		if m.txn.active && m.now >= m.txn.at {
 			t := m.txn
 			m.completeTxn()
@@ -444,69 +355,20 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 		}
 		m.mem.Tick(m.now)
 
-		// Phase B: step only dirty or due processors, in index order —
-		// the same order the polling loop's full sweep visits them, which
-		// matters when a step releases a barrier mid-sweep. A CPU marked
-		// dirty at an index the sweep has already passed (a barrier
-		// releasing lower-indexed waiters) keeps its mark and is stepped
-		// at now+1, exactly as the polling loop would.
-		s.drainDue(m.now)
-		if s.ndirty > 0 {
-			// Walk set bits with an advancing cursor rather than ranging
-			// over every CPU: a step that marks a higher index is caught
-			// later this sweep, one that marks a lower (or its own) index
-			// keeps the mark for the now+1 carryover — identical to the
-			// full-range scan. CPUs ≥ 64 (beyond the mask) use the
-			// fallback scan below.
-			for cursor := 0; cursor < 64; {
-				w := s.dirtyMask >> uint(cursor)
-				if w == 0 {
-					break
-				}
-				id := cursor + bits.TrailingZeros64(w)
-				cursor = id + 1
-				c := m.cpus[id]
-				s.unmark(id)
-				before := c.state
-				beforeBusy := c.busyUntil
-				m.steps++
-				m.step(c, m.now)
-				if c.state != before || c.busyUntil != beforeBusy {
-					progress = true
-				}
-				// Timed states are the only ones that wake by clock
-				// alone; every other blocked state is woken by an event
-				// hook.
-				switch c.state {
-				case stRun, stTTSBackoff:
-					s.wake(id, c.busyUntil)
-				}
+		// Phase B: let processors consume trace events, in index order —
+		// which matters when a step releases a barrier mid-sweep.
+		if s == nil {
+			for id := range m.cpus {
+				m.stepCPU(id, &progress)
 			}
-			for id := 64; id < len(m.cpus); id++ {
-				if !s.dirty[id] {
-					continue
-				}
-				c := m.cpus[id]
-				s.unmark(id)
-				before := c.state
-				beforeBusy := c.busyUntil
-				m.steps++
-				m.step(c, m.now)
-				if c.state != before || c.busyUntil != beforeBusy {
-					progress = true
-				}
-				switch c.state {
-				case stRun, stTTSBackoff:
-					s.wake(id, c.busyUntil)
-				}
-			}
-			if s.ndirty > 0 {
-				s.pushTime(m.now + 1)
-			}
+		} else {
+			m.sweepDirty(&progress)
 		}
 
-		// Phase C: arbitration, skipped when nobody can be granted (see
-		// runPolling). A successful grant schedules the bus-free wakeup
+		// Phase C: arbitration. With every buffer empty and no queued
+		// memory response there is no possible grantee, and a grantless
+		// Arbitrate leaves no trace (rrNext only moves on a grant), so the
+		// scan is skipped outright. A grant schedules the bus-free wakeup
 		// through the bus Notify hook inside Occupy.
 		if m.occupiedBufs != 0 || m.mem.HasResponse() {
 			if granted, ok := m.bus.Arbitrate(m.now, ready); ok {
@@ -525,7 +387,13 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 			}
 		}
 
-		next, ok := s.nextAfter(m.now)
+		var next uint64
+		var ok bool
+		if s == nil {
+			next, ok = m.nextTime()
+		} else {
+			next, ok = s.nextAfter(m.now)
+		}
 		if !ok {
 			if m.allDone() {
 				break
@@ -535,6 +403,79 @@ func (m *Machine) runCalendar(ctx context.Context) error {
 		m.now = m.clampToMaxCycles(next)
 	}
 	return nil
+}
+
+// sweepDirty is the calendar's phase B: step only dirty or due processors,
+// in index order like polling's full sweep. The set bits are walked with
+// an advancing cursor: a step that marks a higher index is caught later
+// this sweep, while one that marks a lower (or its own) index — a barrier
+// releasing lower-indexed waiters — keeps the mark and is stepped at
+// now+1, exactly as polling would. Processors ≥ 64 lie beyond the mask and
+// take the slice scan after it. Under run-ahead, sweepLease gets each
+// processor first.
+func (m *Machine) sweepDirty(progress *bool) {
+	s := m.sched
+	s.drainDue(m.now)
+	if s.ndirty == 0 {
+		return
+	}
+	for cursor := 0; cursor < 64; {
+		w := s.dirtyMask >> uint(cursor)
+		if w == 0 {
+			break
+		}
+		id := cursor + bits.TrailingZeros64(w)
+		cursor = id + 1
+		s.unmark(id)
+		if m.par == nil || !m.sweepLease(id, progress) {
+			m.stepCPU(id, progress)
+		}
+	}
+	// Run-ahead needs the holder index, so it never covers these.
+	for id := 64; id < len(m.cpus); id++ {
+		if s.dirty[id] {
+			s.unmark(id)
+			m.stepCPU(id, progress)
+		}
+	}
+	if s.ndirty > 0 {
+		s.pushTime(m.now + 1)
+	}
+}
+
+// stepCPU is the one per-processor step: run the state machine at the
+// current cycle and detect progress — the state changed, or a new
+// execution burst started (busyUntil strictly advances, so run→run
+// transitions across an event fetch are still caught). Under a calendar
+// it then registers the processor's next visit: a lease when run-ahead
+// can speculate from here, else the timed wakeup of a clock-only state
+// (every other blocked state is woken by an event hook).
+func (m *Machine) stepCPU(id int, progress *bool) {
+	c := m.cpus[id]
+	before := c.state
+	beforeBusy := c.busyUntil
+	m.steps++
+	m.step(c, m.now)
+	if c.state != before || c.busyUntil != beforeBusy {
+		*progress = true
+	}
+	if m.sched == nil {
+		return
+	}
+	if m.par != nil && m.leasable(c) {
+		// The step left the processor executing with nothing global
+		// pending (step returns in stRun only with busyUntil > now):
+		// speculate from here rather than waking at busyUntil. The advance
+		// starts processing at busyUntil, so the covered visits are
+		// exactly the ones the calendar would have woken it for.
+		m.advanceLease(id, m.now)
+		m.finishAdvance(id, progress)
+		return
+	}
+	switch c.state {
+	case stRun, stTTSBackoff:
+		m.sched.wake(id, c.busyUntil)
+	}
 }
 
 func (m *Machine) allDone() bool { return m.nDone == len(m.cpus) }

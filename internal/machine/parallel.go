@@ -1,16 +1,18 @@
 package machine
 
 import (
-	"context"
 	"fmt"
-	"math/bits"
 
 	"syncsim/internal/cache"
 	"syncsim/internal/trace"
 )
 
 // This file implements SchedParallel: speculative per-processor run-ahead
-// over the wakeup calendar, bit-identical to the serial schedulers.
+// over the wakeup calendar, bit-identical to the serial schedulers. It is
+// not a loop of its own but the calendar's phase-B strategy of the one run
+// loop (run, in machine.go) with one per-processor hook: sweepLease
+// commits, skips or opens leases and otherwise leaves the processor to the
+// shared stepCPU, which re-leases one that comes out of its step executing.
 //
 // # Why speculation
 //
@@ -104,8 +106,9 @@ type parExec struct {
 
 // newParExec builds the speculative executor's state, or returns nil when
 // the configuration is outside its envelope (no holder index, or a source
-// that cannot rewind): the machine then runs the ordinary calendar loop,
-// which is bit-identical by construction.
+// that cannot rewind, such as a streamed trace.RingSet): the run loop
+// then takes the plain calendar strategy, which is bit-identical by
+// construction.
 func newParExec(m *Machine) *parExec {
 	if m.holders == nil {
 		return nil
@@ -134,163 +137,30 @@ func (m *Machine) leasable(c *cpu) bool {
 		c.buf.empty() && c.stallCause == causeNone
 }
 
-// runParallel is the SchedParallel main loop: the calendar loop of
-// runCalendar with the lease discipline layered into phase B. See the file
-// comment for the design; see runCalendar for the phase structure.
-func (m *Machine) runParallel(ctx context.Context) error {
-	s := m.sched
-	window := m.progressWindow()
-	checkEvery := m.cancelEvery()
-	idleIters := uint64(0)
-	sinceCheck := uint64(0)
-	ready := m.ready // hoisted: a method value allocates per evaluation
-
-	// Every processor starts in stFetch and must consume its first trace
-	// events at cycle 0.
-	for id := range m.cpus {
-		s.mark(id)
-	}
-
-	for {
-		if m.allDone() {
-			break
-		}
-		if sinceCheck++; sinceCheck >= checkEvery {
-			sinceCheck = 0
-			if m.heartbeat != nil {
-				m.heartbeat(m.iters)
-			}
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("machine: %s cancelled at cycle %d: %w", m.name, m.now, err)
-			}
-		}
-		if m.cfg.MaxCycles > 0 && m.now >= m.cfg.MaxCycles {
-			return m.maxCyclesErr()
-		}
-		m.iters++
-		progress := false
-		s.startCycle(m.now)
-
-		// Phase A: complete the bus transaction ending now; advance the
-		// memory pipeline. Neither can target a leased processor (no
-		// buffered entries, no blocked states).
-		if m.txn.active && m.now >= m.txn.at {
-			t := m.txn
-			m.completeTxn()
-			if m.checker != nil {
-				if err := m.checker.afterTxn(t); err != nil {
-					return err
-				}
-			}
-			progress = true
-		}
-		m.mem.Tick(m.now)
-
-		// Phase B: the index-order sweep of runCalendar, with three new
-		// cases per dirty processor — commit a lease that blocked at this
-		// cycle, skip a leased processor woken by a stale (pre-rollback)
-		// wakeup, or start a new lease. SchedParallel requires the holder
-		// index, so NCPU <= 64 and the dirty mask covers every processor.
-		s.drainDue(m.now)
-		if s.ndirty > 0 {
-			for cursor := 0; cursor < 64; {
-				w := s.dirtyMask >> uint(cursor)
-				if w == 0 {
-					break
-				}
-				id := cursor + bits.TrailingZeros64(w)
-				cursor = id + 1
-				s.unmark(id)
-				m.sweepCPU(id, &progress)
-			}
-			if s.ndirty > 0 {
-				s.pushTime(m.now + 1)
-			}
-		}
-
-		// Phase C: arbitration, exactly as in runCalendar.
-		if m.occupiedBufs != 0 || m.mem.HasResponse() {
-			if granted, ok := m.bus.Arbitrate(m.now, ready); ok {
-				m.grant(granted)
-				progress = true
-			}
-		}
-
-		if progress {
-			idleIters = 0
-		} else {
-			idleIters++
-			if idleIters > window {
-				return fmt.Errorf("machine: %s made no progress for %d iterations at cycle %d (deadlock?): %s",
-					m.name, idleIters, m.now, m.stateDump())
-			}
-		}
-
-		next, ok := s.nextAfter(m.now)
-		if !ok {
-			if m.allDone() {
-				break
-			}
-			return fmt.Errorf("machine: %s deadlocked at cycle %d: %s", m.name, m.now, m.stateDump())
-		}
-		m.now = m.clampToMaxCycles(next)
-	}
-	return nil
-}
-
-// sweepCPU handles one dirty processor at its position in the phase-B
-// index-order sweep.
-func (m *Machine) sweepCPU(id int, progress *bool) {
+// sweepLease handles one dirty processor at its position in the phase-B
+// index-order sweep, reporting whether run-ahead owned it: it commits a
+// lease that blocked at this cycle, skips a leased processor woken by a
+// stale (pre-rollback) wakeup, or starts a new lease. A processor
+// ineligible for a lease (blocked states, pending buffer entries, open
+// stall windows) is left to the ordinary stepCPU.
+func (m *Machine) sweepLease(id int, progress *bool) bool {
 	l := &m.par.leases[id]
 	if l.active {
-		if l.tb != m.now {
-			// A stale wakeup: the lease re-blocked at a different cycle
-			// after a rollback, and the superseded calendar entry
-			// survives. The serial machine would find this processor
-			// mid-burst and do nothing; so do we.
-			return
+		// A stale wakeup (tb != now): the lease re-blocked at a different
+		// cycle after a rollback, and the superseded calendar entry
+		// survives. The serial machine would find this processor
+		// mid-burst and do nothing; so do we.
+		if l.tb == m.now {
+			m.commitLease(id, progress)
 		}
-		m.commitLease(id, progress)
-		return
+		return true
 	}
-	c := m.cpus[id]
-	if m.leasable(c) {
+	if m.leasable(m.cpus[id]) {
 		m.advanceLease(id, m.now)
 		m.finishAdvance(id, progress)
-		return
+		return true
 	}
-	// Ineligible (blocked states, pending buffer entries, open stall
-	// windows): the ordinary serial step, exactly as in runCalendar.
-	m.serialStep(id, progress)
-}
-
-// serialStep is runCalendar's per-processor sweep body: step, detect
-// progress, and either re-lease (a processor that entered an execution
-// burst speculates through it instead of sleeping) or register the timed
-// wakeup the serial calendar would.
-func (m *Machine) serialStep(id int, progress *bool) {
-	c := m.cpus[id]
-	before := c.state
-	beforeBusy := c.busyUntil
-	m.steps++
-	m.step(c, m.now)
-	if c.state != before || c.busyUntil != beforeBusy {
-		*progress = true
-	}
-	if m.leasable(c) {
-		// The step left the processor executing with nothing global
-		// pending (step returns in stRun only with busyUntil > now):
-		// speculate from here rather than waking at busyUntil. The
-		// advance starts processing at busyUntil, so the covered visits
-		// are exactly the ones the calendar would have woken it for.
-		m.advanceLease(id, m.now)
-		m.finishAdvance(id, progress)
-		return
-	}
-	switch c.state {
-	case stRun, stTTSBackoff:
-		m.sched.wake(id, c.busyUntil)
-	}
+	return false
 }
 
 // advanceLease opens a lease on processor id and speculatively runs it
@@ -430,7 +300,7 @@ func (m *Machine) commitLease(id int, progress *bool) {
 	if l.steps > 0 {
 		*progress = true
 	}
-	m.serialStep(id, progress)
+	m.stepCPU(id, progress)
 }
 
 // snoopCache applies one bus snoop to processor j's cache, routing through

@@ -83,7 +83,7 @@ func TestParallelSchedEquivalence(t *testing.T) {
 
 // TestParallelFallbackManyCPUs: above 64 processors the holder index is not
 // built, which is outside the speculative executor's envelope — the machine
-// must fall back to the plain calendar loop and still match it exactly.
+// must fall back to the plain calendar strategy and still match it exactly.
 func TestParallelFallbackManyCPUs(t *testing.T) {
 	const ncpu = 72
 	cpus := contentionTraces(ncpu)
@@ -114,7 +114,7 @@ func TestParallelFallbackManyCPUs(t *testing.T) {
 
 // TestParallelFallbackNonRewindable: a source that cannot Mark/Seek cannot
 // be rolled back, so the machine must decline to speculate and fall back to
-// the calendar loop.
+// the calendar strategy.
 func TestParallelFallbackNonRewindable(t *testing.T) {
 	const ncpu = 4
 	cpus := contentionTraces(ncpu)

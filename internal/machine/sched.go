@@ -2,11 +2,14 @@ package machine
 
 import "math/bits"
 
-// This file implements the wakeup-calendar scheduler behind the machine's
-// default run loop. Instead of stepping every processor on every visited
+// This file implements the wakeup calendar behind two of the phase-B
+// strategies of the machine's one run loop (run, in machine.go): the
+// default calendar strategy and run-ahead, which layers leases over it
+// (parallel.go). Instead of stepping every processor on every visited
 // cycle and re-deriving the next event with a full component scan (the
-// original polling loop, kept as SchedPolling for differential testing),
-// the calendar tracks exactly which components can act and when:
+// original polling strategy, kept as SchedPolling for differential
+// testing), the calendar tracks exactly which components can act and
+// when:
 //
 //   - a min-heap of candidate visited cycles (bus transaction completions,
 //     memory access completions, deferred same-component retries), fed by
@@ -17,12 +20,13 @@ import "math/bits"
 //     by a completed bus transaction, a snoop, a lock grant or a barrier
 //     release, and which must therefore be stepped this cycle.
 //
-// Every visited cycle runs the same three phases as the polling loop
+// Every visited cycle runs the same three phases under every strategy
 // (complete transaction + memory tick, step processors, arbitrate), but
-// phase B only steps dirty or due CPUs, and the next visited cycle is a
-// heap pop instead of an O(P) rescan. Stepping a CPU that cannot progress
-// is a semantic no-op, and visiting a cycle at which nothing is due never
-// changes state, so the calendar is cycle-exact with the polling loop —
+// with a calendar phase B only steps dirty or due CPUs (sweepDirty), and
+// the next visited cycle is a heap pop instead of an O(P) rescan. Stepping
+// a CPU that cannot progress is a semantic no-op, and visiting a cycle at
+// which nothing is due never changes state, so the calendar is cycle-exact
+// with polling —
 // a property pinned by the golden corpus, the differential oracle, and
 // TestSchedulerEquivalence.
 
@@ -118,9 +122,10 @@ func (h *cpuHeap) pop() cpuWakeup {
 	return top
 }
 
-// scheduler is the per-run wakeup calendar. It is created only when the
-// machine runs under SchedCalendar; under SchedPolling every hook is
-// guarded by a nil check and the original loop is used unchanged.
+// scheduler is the per-run wakeup calendar. It is created under
+// SchedCalendar and SchedParallel; under SchedPolling it is nil, every
+// hook is guarded by a nil check, and the run loop takes the polling
+// strategy.
 type scheduler struct {
 	times  timeHeap
 	wakes  cpuHeap
@@ -224,7 +229,7 @@ func (s *scheduler) drainDue(now uint64) {
 // nextAfter returns the earliest candidate visited cycle strictly after
 // now, discarding stale entries. ok is false when the calendar is empty —
 // with work still pending that is a deadlock, exactly like the polling
-// loop's failed nextTime scan.
+// strategy's failed nextTime scan.
 func (s *scheduler) nextAfter(now uint64) (uint64, bool) {
 	if s.nearMask != 0 {
 		// A pending next-cycle wakeup means now+1 is the answer — no
@@ -242,7 +247,7 @@ func (s *scheduler) nextAfter(now uint64) (uint64, bool) {
 	}
 	if len(s.wakes) > 0 {
 		// A wakeup stamped in the past (a zero-length execution burst)
-		// still costs one cycle, as in the polling loop's clamp.
+		// still costs one cycle, as in the polling strategy's clamp.
 		at := s.wakes[0].at
 		if at <= now {
 			at = now + 1

@@ -9,7 +9,7 @@ import (
 
 // A streaming trace cannot be rewound, so SchedParallel must detect the
 // missing Marker capability, skip building the speculative executor, and
-// run the ordinary calendar loop — producing the exact Result a serial run
+// take the plain calendar strategy — producing the exact Result a serial run
 // over the same materialised trace does. This is the streaming→serial
 // fallback rule of DESIGN §17.
 func TestParallelStreamingFallback(t *testing.T) {
