@@ -49,13 +49,23 @@ func benchTrace(b *testing.B, name string) *trace.Set {
 	return set
 }
 
+// calendarConfig is model's machine configuration under the calendar
+// scheduler. The table benchmarks and BenchmarkMachineRun pin it rather
+// than take the run-ahead default, so BenchmarkMachineRunParallel still
+// measures run-ahead against the calendar.
+func calendarConfig(model core.Model) machine.Config {
+	cfg := model.MachineConfig(machine.DefaultConfig())
+	cfg.Sched = machine.SchedCalendar
+	return cfg
+}
+
 func simulate(b *testing.B, name string, model core.Model) *machine.Result {
 	b.Helper()
 	set := benchTrace(b, name)
 	if err := trace.Reset(set); err != nil {
 		b.Fatal(err)
 	}
-	res, err := machine.Run(set, model.MachineConfig(machine.DefaultConfig()))
+	res, err := machine.Run(set, calendarConfig(model))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -309,7 +319,10 @@ func BenchmarkCheckerOverhead(b *testing.B) {
 		check bool
 	}{{"off", false}, {"on", true}} {
 		b.Run(mode.name, func(b *testing.B) {
+			// Pinned to the calendar so the CI regression gate compares
+			// the checker's cost like for like across scheduler changes.
 			cfg := machine.DefaultConfig()
+			cfg.Sched = machine.SchedCalendar
 			cfg.Check = mode.check
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
@@ -360,7 +373,7 @@ func BenchmarkTraceCodec(b *testing.B) {
 }
 
 // BenchmarkMachineRun times machine.Run alone — no trace generation, no
-// ideal analysis — on every benchmark × machine model under the default
+// ideal analysis — on every benchmark × machine model under the
 // wakeup-calendar scheduler. This is the suite the CI benchmark regression
 // gate watches (alongside BenchmarkCheckerOverhead).
 func BenchmarkMachineRun(b *testing.B) {
@@ -370,7 +383,7 @@ func BenchmarkMachineRun(b *testing.B) {
 				var cycles uint64
 				for i := 0; i < b.N; i++ {
 					set := benchTrace(b, name)
-					res, err := machine.Run(set, model.MachineConfig(machine.DefaultConfig()))
+					res, err := machine.Run(set, calendarConfig(model))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -383,7 +396,8 @@ func BenchmarkMachineRun(b *testing.B) {
 }
 
 // BenchmarkMachineRunParallel is BenchmarkMachineRun under the speculative
-// parallel scheduler, which the CI regression gate watches. The speedup
+// parallel scheduler (run-ahead, the default), which the CI regression
+// gate watches. The speedup
 // over BenchmarkMachineRun is purely algorithmic: leased stretches skip
 // the per-visited-cycle calendar machinery.
 func BenchmarkMachineRunParallel(b *testing.B) {

@@ -42,7 +42,7 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "workload scale")
 	seed := flag.Int64("seed", 1, "generation seed")
 	workers := flag.Int("j", 0, "concurrent sweep points (0 = GOMAXPROCS)")
-	sched := flag.String("sched", "calendar", "per-run scheduler: calendar, polling, or parallel")
+	sched := flag.String("sched", machine.DefaultConfig().Sched.String(), "per-run scheduler: parallel (run-ahead), calendar, or polling")
 	showMetrics := flag.Bool("metrics", false, "append the engine report as CSV comments")
 	flag.Parse()
 

@@ -14,8 +14,10 @@
 // With -stream the trace is not materialised: generation runs concurrently
 // with simulation through a bounded ring, so memory stays O(ring budget)
 // instead of O(trace). Streaming skips the ideal-trace analysis (the events
-// are consumed as they are produced and cannot be rewound) and always
-// simulates on the serial calendar scheduler. -membudget N makes the run
+// are consumed as they are produced and cannot be rewound). For the same
+// reason it always simulates on the calendar strategy: the default
+// -sched parallel (run-ahead) falls back to it on a streamed trace, with
+// identical results but without run-ahead's speed. -membudget N makes the run
 // fail if peak sampled heap use ever exceeds N MiB — CI uses it to pin the
 // bounded-memory property.
 //
@@ -133,8 +135,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	showMetrics := fs.Bool("metrics", false, "print the per-phase run report (generate/analyze/simulate wall time, throughput)")
 	hotLocks := fs.Int("locks", 0, "print the N hottest locks by acquisitions")
 	hist := fs.Bool("hist", false, "print the waiters-at-transfer histogram")
-	sched := fs.String("sched", "calendar", "simulation scheduler: calendar (event-driven), polling (step every CPU every cycle), or parallel (speculative run-ahead, bit-identical)")
-	stream := fs.Bool("stream", false, "stream traces through a bounded ring instead of materialising them (skips the ideal analysis; serial scheduler)")
+	sched := fs.String("sched", machine.DefaultConfig().Sched.String(), "simulation scheduler: parallel (speculative run-ahead; calendar on a -stream run), calendar (event-driven), or polling (step every CPU every cycle); all bit-identical")
+	stream := fs.Bool("stream", false, "stream traces through a bounded ring instead of materialising them (skips the ideal analysis; always runs the calendar strategy, whatever -sched says)")
 	streamBudget := fs.Int("streambudget", 0, "total buffered events across CPUs for -stream (0 = default)")
 	memBudget := fs.Int("membudget", 0, "peak-heap budget in MiB (0 = unlimited): fail the run if sampled HeapAlloc ever exceeds it")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")

@@ -35,9 +35,13 @@ type SimRequest struct {
 	Lock string `json:"lock,omitempty"`
 	// Cons is the consistency model: sc (default) or wo.
 	Cons string `json:"cons,omitempty"`
-	// Sched is the simulation-loop scheduler: calendar (default), polling,
-	// or parallel. All schedulers produce bit-identical results; GET
-	// /v1/capabilities lists the valid names.
+	// Sched is the simulation-loop scheduler: calendar, polling, or
+	// parallel (run-ahead). All schedulers produce bit-identical results;
+	// GET /v1/capabilities lists the valid names. An empty Sched runs
+	// calendar and echoes "calendar", although the library default is
+	// run-ahead: the wire default stays calendar until a benchmark change
+	// regenerates the fleet reference digests, since the echoed name and
+	// Result.Config.Sched are part of every payload.
 	Sched string `json:"sched,omitempty"`
 	// Workers is accepted for compatibility and ignored: the parallel
 	// scheduler has no worker pool. A negative value is still rejected;

@@ -46,8 +46,9 @@ type Task struct {
 	// O(StreamBudget) instead of O(trace). The trace cache is bypassed
 	// (CacheStats.Bypassed), no ideal statistics are computed (Ideal is
 	// the zero Summary — AnalyzeIdeal would consume the stream), and the
-	// machine falls back to the serial calendar scheduler. Incompatible
-	// with IdealOnly.
+	// machine runs the calendar strategy whatever Config.Sched asks for:
+	// the default run-ahead falls back to it, since a ring cannot rewind.
+	// Incompatible with IdealOnly.
 	Stream bool
 	// StreamBudget is the ring's total event budget across CPUs when
 	// streaming; 0 selects workload.DefaultStreamBudget.

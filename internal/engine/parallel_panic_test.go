@@ -131,6 +131,7 @@ func TestParallelSchedSoak(t *testing.T) {
 
 	prog := &fakeProgram{name: "soak", ncpu: 6, pairs: 12}
 	serial := machine.DefaultConfig()
+	serial.Sched = machine.SchedCalendar
 	var tasks []Task
 	for seed := int64(1); seed <= 4; seed++ {
 		p := workload.Params{Scale: 1, Seed: seed}

@@ -16,7 +16,11 @@ import (
 func TestStreamTaskBypassesCache(t *testing.T) {
 	prog := qsort.New()
 	p := workload.Params{NCPU: 4, Scale: 0.02, Seed: 5}
+	// A streamed source cannot rewind, so the streamed task always takes
+	// the calendar strategy; pin it on both sides so the comparison also
+	// covers the run loop's work counts (Result.Sched).
 	cfg := machine.DefaultConfig()
+	cfg.Sched = machine.SchedCalendar
 
 	e := New(Config{Workers: 1})
 	base := Task{Program: prog, Params: p, Label: "materialised", Config: cfg}

@@ -52,22 +52,26 @@ func (c Consistency) String() string {
 type SchedKind uint8
 
 const (
-	// SchedCalendar (the default) drives the machine off a wakeup
-	// calendar: min-heaps of component wakeup times plus a dirty set of
-	// perturbed processors, so each visited cycle steps only the CPUs
-	// that can act and the next cycle is a heap pop.
+	// SchedCalendar drives the machine off a wakeup calendar: min-heaps
+	// of component wakeup times plus a dirty set of perturbed processors,
+	// so each visited cycle steps only the CPUs that can act and the next
+	// cycle is a heap pop. It is the strategy run-ahead falls back to
+	// outside its envelope, and the service's wire default. It keeps the
+	// zero value because Result.Config.Sched is serialised as a number.
 	SchedCalendar SchedKind = iota
 	// SchedPolling is the original strategy: every visited cycle steps
 	// every processor and rescans every component for the next event
 	// time. Kept for differential testing against the calendar.
 	SchedPolling
-	// SchedParallel (run-ahead) sweeps the same wakeup calendar but
-	// speculatively runs each processor through its purely-local event
-	// stretches (execution bursts and cache hits) ahead of the global
-	// clock, committing the speculation in calendar order and rolling it
-	// back when a bus snoop invalidates it. Every bus transaction is
-	// ordered exactly as under SchedCalendar, so results are
-	// bit-identical. See internal/machine/parallel.go and DESIGN §16.
+	// SchedParallel (run-ahead, the default) sweeps the same wakeup
+	// calendar but speculatively runs each processor through its
+	// purely-local event stretches (execution bursts and cache hits)
+	// ahead of the global clock, committing the speculation in calendar
+	// order and rolling it back when a bus snoop invalidates it. Every
+	// bus transaction is ordered exactly as under SchedCalendar, so
+	// results are bit-identical. A machine outside its envelope (more
+	// than 64 CPUs, or a streamed source that cannot rewind) silently
+	// takes the calendar strategy. See parallel.go and DESIGN §16.
 	SchedParallel
 )
 
@@ -102,10 +106,12 @@ func SchedulerNames() []string {
 }
 
 // ParseSched resolves a scheduler wire name. The empty string selects the
-// default (calendar) scheduler.
+// default scheduler, DefaultConfig().Sched (run-ahead).
 func ParseSched(name string) (SchedKind, error) {
 	switch name {
-	case "", SchedCalendar.String():
+	case "":
+		return DefaultConfig().Sched, nil
+	case SchedCalendar.String():
 		return SchedCalendar, nil
 	case SchedPolling.String():
 		return SchedPolling, nil
@@ -126,7 +132,8 @@ type Config struct {
 	Consistency Consistency
 
 	// Sched selects the run loop's phase-B strategy; all produce identical
-	// results (see SchedKind). The zero value is the calendar scheduler.
+	// results (see SchedKind). DefaultConfig selects run-ahead; the zero
+	// value is the calendar scheduler.
 	Sched SchedKind
 
 	// BackoffBase and BackoffMax bound the exponential backoff of the
@@ -166,7 +173,8 @@ type Config struct {
 
 // DefaultConfig returns the paper's machine: 64 KB 2-way caches with
 // 16-byte lines, 4-entry cache-bus buffers, split-transaction bus, 3-cycle
-// memory with 2-entry buffers, queuing locks, sequential consistency.
+// memory with 2-entry buffers, queuing locks, sequential consistency —
+// simulated under the run-ahead scheduler.
 func DefaultConfig() Config {
 	return Config{
 		Cache:       cache.DefaultConfig(),
@@ -175,6 +183,7 @@ func DefaultConfig() Config {
 		BufDepth:    4,
 		Lock:        locks.Queue,
 		Consistency: SeqConsistent,
+		Sched:       SchedParallel,
 	}
 }
 

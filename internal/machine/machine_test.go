@@ -66,6 +66,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestDefaultSched pins run-ahead as the library default, reached both
+// through DefaultConfig and through the empty scheduler name, and checks
+// that a default machine inside the envelope really gets the speculative
+// executor rather than the calendar fallback.
+func TestDefaultSched(t *testing.T) {
+	if got := DefaultConfig().Sched; got != SchedParallel {
+		t.Fatalf("DefaultConfig().Sched = %v, want parallel", got)
+	}
+	if got, err := ParseSched(""); err != nil || got != DefaultConfig().Sched {
+		t.Fatalf(`ParseSched("") = %v, %v; want %v`, got, err, DefaultConfig().Sched)
+	}
+	for _, k := range Schedulers() {
+		if got, err := ParseSched(k.String()); err != nil || got != k {
+			t.Errorf("ParseSched(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	if _, err := ParseSched("bogus"); err == nil {
+		t.Error("ParseSched accepted an unknown name")
+	}
+	m, err := New(pingPongSet(4), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.par == nil {
+		t.Error("default machine fell back to the calendar strategy")
+	}
+}
+
 func TestNewRejectsEmptySet(t *testing.T) {
 	if _, err := New(trace.BufferSet("e", nil), DefaultConfig()); err == nil {
 		t.Fatal("accepted empty trace set")

@@ -4,8 +4,9 @@ import "math/bits"
 
 // This file implements the wakeup calendar behind two of the phase-B
 // strategies of the machine's one run loop (run, in machine.go): the
-// default calendar strategy and run-ahead, which layers leases over it
-// (parallel.go). Instead of stepping every processor on every visited
+// calendar strategy and run-ahead, the default, which layers leases over
+// it (parallel.go) and falls back to the plain calendar when a machine is
+// outside its envelope. Instead of stepping every processor on every visited
 // cycle and re-deriving the next event with a full component scan (the
 // original polling strategy, kept as SchedPolling for differential
 // testing), the calendar tracks exactly which components can act and

@@ -19,6 +19,22 @@ import (
 // Clients reproducing paper magnitudes ask for them explicitly.
 const defaultScale = 0.2
 
+// wireSched is the scheduler a request that names none runs under. It
+// is pinned here rather than inherited from machine.DefaultConfig (which
+// selects run-ahead): the resolved name is echoed in every sim payload and
+// Result.Config.Sched is part of every result, so moving it would change
+// the bytes the service serves and the fleet's reference digests.
+const wireSched = machine.SchedCalendar
+
+// wireConfig is the base machine configuration of every served
+// simulation: /v1/sim, the /v1/predict fallback, /v1/analyze, fleet cells
+// (all through normalizeSim) and /v1/sweep (runSweep).
+func wireConfig() machine.Config {
+	cfg := machine.DefaultConfig()
+	cfg.Sched = wireSched
+	return cfg
+}
+
 // simJob is a validated, canonicalised api.SimRequest ready to execute. Its
 // key is what coalescing and the result cache operate on: two requests
 // with the same key are guaranteed byte-identical traces (the engine.Key
@@ -51,7 +67,7 @@ func normalizeSim(req api.SimRequest) (simJob, error) {
 		return simJob{}, fmt.Errorf("negative ncpu %d", req.NCPU)
 	}
 
-	cfg := machine.DefaultConfig()
+	cfg := wireConfig()
 	switch req.Lock {
 	case "", "queue":
 		req.Lock = "queue"
@@ -74,13 +90,13 @@ func normalizeSim(req api.SimRequest) (simJob, error) {
 	default:
 		return simJob{}, fmt.Errorf("unknown cons %q (want sc or wo)", req.Cons)
 	}
-	sched, err := machine.ParseSched(req.Sched)
-	if err != nil {
-		return simJob{}, fmt.Errorf("unknown sched %q (want %s)",
-			req.Sched, strings.Join(machine.SchedulerNames(), ", "))
+	if req.Sched != "" {
+		if cfg.Sched, err = machine.ParseSched(req.Sched); err != nil {
+			return simJob{}, fmt.Errorf("unknown sched %q (want %s)",
+				req.Sched, strings.Join(machine.SchedulerNames(), ", "))
+		}
 	}
-	req.Sched = sched.String() // canonicalise "" → "calendar"
-	cfg.Sched = sched
+	req.Sched = cfg.Sched.String() // canonicalise "" → wireSched
 	if req.Workers < 0 {
 		return simJob{}, fmt.Errorf("negative workers %d", req.Workers)
 	}

@@ -13,15 +13,15 @@ import (
 	"syncsim/internal/api"
 	"syncsim/internal/core"
 	"syncsim/internal/fleet/store"
-	"syncsim/internal/machine"
 	"syncsim/internal/workload/suite"
 )
 
 // TestPlanMatchesCoreModels pins plan.go's model → lock/cons wire mapping
 // against core.Model.MachineConfig: a cell request built from modelWire
 // must normalise to the exact machine.Config the sweep path hands the
-// engine for that model. If core ever changes a model's configuration,
-// this fails before the fleet starts returning subtly different sweeps.
+// engine for that model (core over the wire base config, wireConfig). If
+// core ever changes a model's configuration, this fails before the fleet
+// starts returning subtly different sweeps.
 func TestPlanMatchesCoreModels(t *testing.T) {
 	coreModels := map[string]core.Model{
 		"queue": core.ModelQueue,
@@ -40,7 +40,7 @@ func TestPlanMatchesCoreModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("model %s: %v", name, err)
 		}
-		want := m.MachineConfig(machine.DefaultConfig())
+		want := m.MachineConfig(wireConfig())
 		if !reflect.DeepEqual(job.cfg, want) {
 			t.Errorf("model %s: planned config %+v != core config %+v", name, job.cfg, want)
 		}

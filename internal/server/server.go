@@ -732,10 +732,12 @@ func (s *Server) runSweep(ctx context.Context, job sweepJob) (*api.SweepPayload,
 	defer stopWatch()
 
 	var suiteRep metrics.SuiteReport
+	base := wireConfig()
 	outs, err := s.execSuite(wctx, core.Options{
 		Scale:   job.req.Scale,
 		Seed:    job.req.Seed,
 		Models:  job.models,
+		Machine: &base,
 		Select:  job.sel,
 		Workers: s.cfg.Workers,
 		Metrics: true,

@@ -169,6 +169,59 @@ func TestEndToEndSweep(t *testing.T) {
 	}
 }
 
+// TestWireSchedDefault pins the service's scheduler default: a /v1/sim
+// and a /v1/sweep that name no scheduler run the calendar strategy
+// (wireSched), not the library's run-ahead default. The echoed name and
+// Result.Config.Sched are part of every payload and of the fleet's
+// reference digests, so the wire default moves only with them.
+func TestWireSchedDefault(t *testing.T) {
+	if machine.DefaultConfig().Sched == machine.SchedCalendar {
+		t.Fatal("library default is calendar: this test no longer tells the two defaults apart")
+	}
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sim, resp := postSim(t, ts, `{"bench":"Qsort","scale":0.01,"seed":3}`)
+	if resp == nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("sim: status = %v, want 200", resp)
+	}
+	if sim.Request.Sched != "calendar" {
+		t.Errorf("sim echo sched = %q, want calendar", sim.Request.Sched)
+	}
+	if got := sim.Result.Config.Sched; got != machine.SchedCalendar {
+		t.Errorf("sim Result.Config.Sched = %v, want calendar", got)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"scale":0.01,"seed":3,"only":["Qsort"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("sweep: status = %d, body %s", resp.StatusCode, raw)
+	}
+	var sweep api.SweepResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sweep); err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep.Outcomes) != 1 || len(sweep.Outcomes[0].Results) != 3 {
+		t.Fatalf("sweep outcomes = %+v, want Qsort under 3 models", sweep.Outcomes)
+	}
+	for model, res := range sweep.Outcomes[0].Results {
+		if res.Config.Sched != machine.SchedCalendar {
+			t.Errorf("sweep %s Result.Config.Sched = %v, want calendar", model, res.Config.Sched)
+		}
+	}
+	// The sweep's queue cell is the default sim above, bit for bit.
+	if q := sweep.Outcomes[0].Results["queue"]; !reflect.DeepEqual(q, sim.Result) {
+		t.Errorf("sweep queue cell differs from the default sim:\nsweep: %+v\nsim:   %+v", q, sim.Result)
+	}
+}
+
 // gatedServer installs an execTasks hook that blocks every engine run on a
 // gate channel and counts executions.
 func gatedServer(cfg Config) (*Server, *atomic.Int64, chan struct{}) {

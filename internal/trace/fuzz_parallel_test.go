@@ -67,7 +67,10 @@ func FuzzParallelSched(f *testing.F) {
 			return
 		}
 
+		// The serial side pins calendar: the default is run-ahead, so
+		// leaving it implicit would compare run-ahead with itself.
 		cfg := machine.DefaultConfig()
+		cfg.Sched = machine.SchedCalendar
 		cfg.Cache = cache.Config{Size: 512, LineSize: 16, Assoc: 1}
 		cfg.Check = true
 		cfg.MaxCycles = 5_000_000

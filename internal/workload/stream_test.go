@@ -75,7 +75,11 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 func TestStreamedSimulationEquals(t *testing.T) {
 	prog := qsort.New()
 	p := workload.Params{NCPU: 4, Scale: 0.02, Seed: 1}
+	// A streamed run always takes the calendar strategy (its source
+	// cannot rewind); pin it on both sides so the comparison also covers
+	// the run loop's work counts (Result.Sched).
 	cfg := machine.DefaultConfig()
+	cfg.Sched = machine.SchedCalendar
 
 	mat, err := prog.Generate(p)
 	if err != nil {

@@ -131,7 +131,9 @@ const (
 
 // DefaultMachineConfig returns the paper's architecture (§2.2): 64 KB
 // two-way write-back caches with 16-byte lines, Illinois coherence,
-// 4-entry cache-bus buffers, split-transaction bus, 3-cycle memory.
+// 4-entry cache-bus buffers, split-transaction bus, 3-cycle memory. It
+// simulates under the run-ahead scheduler, whose results are
+// bit-identical to every other scheduler's.
 func DefaultMachineConfig() MachineConfig { return machine.DefaultConfig() }
 
 // Simulate runs a trace set on a machine and returns its statistics.
