@@ -43,6 +43,9 @@ type CacheInfo struct {
 	// both are zero on a hit.
 	Generate time.Duration
 	Analyze  time.Duration
+	// Wait is the time this lookup spent blocked on a generation another
+	// caller had in flight.
+	Wait time.Duration
 }
 
 // TraceCache memoises generated benchmark traces and their ideal
@@ -134,6 +137,7 @@ func (c *TraceCache) NoteBypass() { c.bypassed.Add(1) }
 // actually runs. Waiting on a concurrent generation respects ctx.
 func (c *TraceCache) Get(ctx context.Context, prog workload.Program, p workload.Params, progress func(format string, args ...any)) (*trace.Set, trace.Summary, CacheInfo, error) {
 	key := KeyFor(prog, p)
+	var wait time.Duration
 	for {
 		c.mu.Lock()
 		e, ok := c.entries.Get(key)
@@ -152,15 +156,21 @@ func (c *TraceCache) Get(ctx context.Context, prog workload.Program, p workload.
 			if err != nil {
 				return nil, trace.Summary{}, CacheInfo{}, err
 			}
-			info := CacheInfo{Generate: e.generate, Analyze: e.analyze}
+			info := CacheInfo{Generate: e.generate, Analyze: e.analyze, Wait: wait}
 			return clone, e.ideal, info, nil
 		}
 		c.mu.Unlock()
 		c.hits.Add(1)
 		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, trace.Summary{}, CacheInfo{}, ctx.Err()
+		case <-e.ready: // already generated: nothing to wait for
+		default:
+			waitStart := time.Now()
+			select {
+			case <-e.ready:
+			case <-ctx.Done():
+				return nil, trace.Summary{}, CacheInfo{}, ctx.Err()
+			}
+			wait += time.Since(waitStart)
 		}
 		if e.aborted {
 			// The fill was cut short by the FILLER's context, not ours.
@@ -179,7 +189,7 @@ func (c *TraceCache) Get(ctx context.Context, prog workload.Program, p workload.
 		if err != nil {
 			return nil, trace.Summary{}, CacheInfo{}, err
 		}
-		return clone, e.ideal, CacheInfo{Hit: true}, nil
+		return clone, e.ideal, CacheInfo{Hit: true, Wait: wait}, nil
 	}
 }
 

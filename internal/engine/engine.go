@@ -6,6 +6,11 @@
 // simulate wall time, cache hit rates, worker occupancy, simulated-cycle
 // throughput) into a metrics registry surfaced as a SuiteReport.
 //
+// Tasks are not run in task order: a dispatcher starts every distinct
+// trace's first task early, so generations overlap, and then runs the
+// ready tasks longest trace first (see dispatcher). Results are still
+// returned in task order.
+//
 // Each task gets per-run isolation for free: the simulator mutates only
 // its own cloned trace cursors and its own machine state, so tasks never
 // share mutable data and results are deterministic regardless of worker
@@ -133,6 +138,7 @@ func (e *Engine) Run(ctx context.Context, tasks []Task) ([]TaskResult, metrics.S
 		hits     = reg.Counter("trace_cache_hits")
 		misses   = reg.Counter("trace_cache_misses")
 		busy     = reg.Counter("worker_busy_ns")
+		wait     = reg.Counter("trace_wait_ns")
 		cycles   = reg.Counter("sim_cycles")
 		iters    = reg.Counter("sched_iterations")
 		steps    = reg.Counter("sched_steps")
@@ -164,39 +170,33 @@ func (e *Engine) Run(ctx context.Context, tasks []Task) ([]TaskResult, metrics.S
 	}
 
 	results := make([]TaskResult, len(tasks))
-	feed := make(chan int)
+	d := newDispatcher(tasks, e.cache.Cap())
+	tm := taskMetrics{
+		hits: hits, misses: misses, wait: wait, cycles: cycles,
+		iters: iters, steps: steps,
+		generate: generate, analyze: analyze, simulate: simulate,
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range feed {
-				if runCtx.Err() != nil {
-					continue // drain the feed without starting new work
+			for {
+				i, ok := d.next(runCtx)
+				if !ok {
+					return
 				}
 				t0 := time.Now()
-				res, err := e.runTaskSafe(runCtx, &tasks[i], taskMetrics{
-					hits: hits, misses: misses, cycles: cycles,
-					iters: iters, steps: steps,
-					generate: generate, analyze: analyze, simulate: simulate,
-				})
+				res, err := e.runTaskSafe(runCtx, &tasks[i], tm, func(set *trace.Set) { d.ready(i, set) })
 				busy.Add(int64(time.Since(t0)))
 				if err != nil {
 					fail(err)
-					continue
+					return
 				}
 				results[i] = res
+				d.finish(i)
 			}
 		}()
 	}
-feeding:
-	for i := range tasks {
-		select {
-		case feed <- i:
-		case <-runCtx.Done():
-			break feeding
-		}
-	}
-	close(feed)
 	wg.Wait()
 
 	report := metrics.SuiteReport{
@@ -208,7 +208,8 @@ feeding:
 		Generate:    generate.Total(),
 		Analyze:     analyze.Total(),
 		Simulate:    simulate.Total(),
-		Busy:        time.Duration(busy.Value()),
+		Busy:        time.Duration(busy.Value() - wait.Value()),
+		Wait:        time.Duration(wait.Value()),
 		SimCycles:   uint64(cycles.Value()),
 		SchedIters:  uint64(iters.Value()),
 		SchedSteps:  uint64(steps.Value()),
@@ -224,7 +225,7 @@ feeding:
 
 // taskMetrics bundles the registry handles a task updates.
 type taskMetrics struct {
-	hits, misses, cycles        *metrics.Counter
+	hits, misses, wait, cycles  *metrics.Counter
 	iters, steps                *metrics.Counter
 	generate, analyze, simulate *metrics.Timer
 }
@@ -233,18 +234,19 @@ type taskMetrics struct {
 // execution — the machine core's invariant panics included — is recovered
 // into a *PanicError that fails this task alone. The worker goroutine, the
 // pool, and every sibling task survive.
-func (e *Engine) runTaskSafe(ctx context.Context, t *Task, tm taskMetrics) (res TaskResult, err error) {
+func (e *Engine) runTaskSafe(ctx context.Context, t *Task, tm taskMetrics, onTrace func(*trace.Set)) (res TaskResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = TaskResult{}, Recovered(t.Program.Name()+"/"+t.Label, v)
 		}
 	}()
-	return e.runTask(ctx, t, tm)
+	return e.runTask(ctx, t, tm, onTrace)
 }
 
 // runTask executes one task: trace lookup (generating on a cache miss),
-// then simulation unless the task is ideal-only.
-func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResult, error) {
+// then simulation unless the task is ideal-only. onTrace receives the
+// task's trace as soon as the lookup returns it.
+func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics, onTrace func(*trace.Set)) (TaskResult, error) {
 	if err := ctx.Err(); err != nil {
 		return TaskResult{}, err
 	}
@@ -262,6 +264,8 @@ func (e *Engine) runTask(ctx context.Context, t *Task, tm taskMetrics) (TaskResu
 	if err != nil {
 		return TaskResult{}, err
 	}
+	onTrace(set)
+	tm.wait.Add(int64(info.Wait))
 	if info.Hit {
 		tm.hits.Inc()
 	} else {

@@ -99,7 +99,7 @@ func CanonicalizeSweep(resp *api.SweepResponse) {
 		return
 	}
 	r := &resp.Report
-	r.Wall, r.Workers, r.Busy = 0, 0, 0
+	r.Wall, r.Workers, r.Busy, r.Wait = 0, 0, 0, 0
 	r.Generate, r.Analyze, r.Simulate = 0, 0, 0
 	r.CacheHits, r.CacheMisses = 0, 0
 	for i := range resp.Outcomes {

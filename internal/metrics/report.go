@@ -91,8 +91,14 @@ type SuiteReport struct {
 	// Generate, Analyze and Simulate are summed per-phase wall times
 	// across all workers.
 	Generate, Analyze, Simulate time.Duration
-	// Busy is the summed time workers spent executing tasks.
+	// Busy is the summed time workers spent executing tasks, less Wait.
 	Busy time.Duration
+	// Wait is the summed time tasks spent blocked on a trace generation
+	// another caller had in flight (a concurrent run sharing the cache):
+	// idle time, so it is kept out of Busy and out of Occupancy. It is
+	// omitted from JSON when zero, so a report without waits encodes as
+	// it did before the field existed.
+	Wait time.Duration `json:",omitempty"`
 	// SimCycles is the total number of simulated machine cycles.
 	SimCycles uint64
 	// SchedIters and SchedSteps sum the simulator run loops' own work
@@ -130,8 +136,12 @@ func (r SuiteReport) Throughput() float64 {
 // String renders the report as a small multi-line block.
 func (r SuiteReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine: %d task(s) on %d worker(s) in %v (occupancy %.0f%%)\n",
+	fmt.Fprintf(&b, "engine: %d task(s) on %d worker(s) in %v (occupancy %.0f%%",
 		r.Tasks, r.Workers, r.Wall.Round(time.Millisecond), 100*r.Occupancy())
+	if r.Wait > 0 {
+		fmt.Fprintf(&b, ", %v waiting on traces", r.Wait.Round(time.Millisecond))
+	}
+	b.WriteString(")\n")
 	fmt.Fprintf(&b, "phases: generate %v  analyze %v  simulate %v\n",
 		r.Generate.Round(time.Microsecond), r.Analyze.Round(time.Microsecond),
 		r.Simulate.Round(time.Microsecond))

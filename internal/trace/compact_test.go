@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -109,5 +111,115 @@ func TestCompactRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// encodedSize is the varint encoding size of events, computed without
+// Compact: one kind byte, the argument, and for addressed kinds the zigzag
+// delta from the previous address.
+func encodedSize(events []Event) int {
+	var tmp [binary.MaxVarintLen64]byte
+	n, prev := 0, uint32(0)
+	for _, ev := range events {
+		n++
+		switch ev.Kind {
+		case KindExec, KindBarrier:
+			n += binary.PutUvarint(tmp[:], uint64(ev.Arg))
+		case KindIFetch, KindRead, KindWrite, KindLock, KindUnlock:
+			n += binary.PutUvarint(tmp[:], uint64(ev.Arg))
+			n += binary.PutVarint(tmp[:], int64(int32(ev.Addr-prev)))
+			prev = ev.Addr
+		}
+	}
+	return n
+}
+
+// multiChunk builds a Compact over random events whose random addresses
+// give multi-byte varints everywhere, chunk boundaries included.
+func multiChunk(t *testing.T, n int) (*Compact, []Event) {
+	t.Helper()
+	events := randomEvents(rand.New(rand.NewSource(7)), n)
+	var c Compact
+	for _, ev := range events {
+		c.Add(ev)
+	}
+	if len(c.chunks) < 4 {
+		t.Fatalf("%d events fill only %d closed chunks, want several", n, len(c.chunks))
+	}
+	return &c, events
+}
+
+func TestCompactChunkedReplay(t *testing.T) {
+	c, events := multiChunk(t, 20_000)
+	set := CompactSet("chunked", []*Compact{c})
+	got := Drain(set.Sources[0])
+	want := Drain(NewBuffer(events))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("chunked replay differs from a Buffer of the same events")
+	}
+	if c.Bytes() != encodedSize(events) {
+		t.Errorf("Bytes() = %d, encoded size %d", c.Bytes(), encodedSize(events))
+	}
+	for k, ch := range c.chunks {
+		if want := min(firstChunk<<k, maxChunk); cap(ch) != want {
+			t.Errorf("chunk %d has capacity %d, want %d", k, cap(ch), want)
+		}
+	}
+	if cap(c.tail) != len(c.tail) {
+		t.Errorf("sealed tail keeps %d spare bytes", cap(c.tail)-len(c.tail))
+	}
+}
+
+func TestCompactMarkAcrossChunks(t *testing.T) {
+	c, events := multiChunk(t, 20_000)
+	src := c.NewSource()
+	// Stop one event into chunk 1, mark, then read on into chunk 3.
+	for src.Mark().Chunk < 1 {
+		src.Next()
+	}
+	src.Next()
+	m := src.Mark()
+	if m.Chunk != 1 {
+		t.Fatalf("mark in chunk %d, want 1", m.Chunk)
+	}
+	for src.Mark().Chunk < 3 {
+		if _, ok := src.Next(); !ok {
+			t.Fatal("trace ended before chunk 3")
+		}
+	}
+	src.Seek(m)
+	if got, want := Drain(src), events[m.Read:]; !reflect.DeepEqual(got, want) {
+		t.Fatal("replay after Seek back across two chunks differs")
+	}
+
+	src.Rewind()
+	if got := Drain(src); !reflect.DeepEqual(got, events) {
+		t.Fatal("replay after Rewind from the last chunk differs")
+	}
+	clone := src.CloneSource()
+	if got := Drain(clone); !reflect.DeepEqual(got, events) {
+		t.Fatal("clone of an exhausted cursor does not replay from the start")
+	}
+}
+
+// Growing by chunks copies nothing, so adding events allocates about their
+// encoded size: at most 1.25× Bytes() plus one chunk for the tail's spare
+// capacity (and the trim). Growing one buffer by append allocates 4–5×.
+func TestCompactAddAllocation(t *testing.T) {
+	events := make([]Event, 1_000_000)
+	for i := range events {
+		events[i] = ReadAfter(uint32(i%3), uint32(0x1000+4*(i%64)))
+	}
+	var c Compact
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ev := range events {
+		c.Add(ev)
+	}
+	CompactSet("alloc", []*Compact{&c})
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(1.25*float64(c.Bytes())) + maxChunk; alloc > limit {
+		t.Errorf("adding %d events (%d bytes) allocated %d bytes, limit %d", len(events), c.Bytes(), alloc, limit)
 	}
 }

@@ -40,6 +40,18 @@ func FuzzParallelSched(f *testing.F) {
 		{trace.Exec(40), trace.Read(0x1000), trace.Read(0x1010), trace.Read(0x1020), trace.Write(0x1000), trace.End()},
 		{trace.Read(0x1000), trace.Exec(5), trace.Write(0x1000), trace.Exec(30), trace.Read(0x1010), trace.End()},
 	})
+	// Longer than a compact trace's first chunk: CPU 0 re-reads one line
+	// in a long run of cache hits that run-ahead leases in one stretch,
+	// and CPU 1's writes to that line land inside the stretch, so the
+	// rollbacks Seek back across chunk boundaries.
+	long := make([][]trace.Event, 2)
+	for i := 0; i < 400; i++ {
+		long[0] = append(long[0], trace.Exec(uint32(1+i*7%11)), trace.Read(0x1000+uint32(16*(i%4))))
+	}
+	for i := 0; i < 12; i++ {
+		long[1] = append(long[1], trace.Exec(97), trace.Write(0x1000), trace.Read(0x2000+uint32(16*i)))
+	}
+	add("long", long)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
@@ -82,9 +94,11 @@ func FuzzParallelSched(f *testing.F) {
 
 		serial, serr := machine.Run(trace.BufferSet("fuzz", cpus), cfg)
 
+		// The parallel side replays compact traces, so its rollbacks
+		// exercise Mark and Seek across chunk boundaries.
 		pcfg := cfg
 		pcfg.Sched = machine.SchedParallel
-		parallel, perr := machine.Run(trace.BufferSet("fuzz", cpus), pcfg)
+		parallel, perr := machine.Run(compactSet(cpus), pcfg)
 
 		switch {
 		case serr != nil && perr != nil:
@@ -99,4 +113,20 @@ func FuzzParallelSched(f *testing.F) {
 			t.Fatalf("parallel result diverges from serial calendar:\nserial:   %+v\nparallel: %+v", s, p)
 		}
 	})
+}
+
+// compactSet encodes each CPU's events into a trace.Compact, up to and
+// including its first End: a Buffer stops there, a Compact would not.
+func compactSet(cpus [][]trace.Event) *trace.Set {
+	out := make([]*trace.Compact, len(cpus))
+	for i, evs := range cpus {
+		out[i] = &trace.Compact{}
+		for _, ev := range evs {
+			out[i].Add(ev)
+			if ev.Kind == trace.KindEnd {
+				break
+			}
+		}
+	}
+	return trace.CompactSet("fuzz", out)
 }

@@ -186,6 +186,9 @@ type Rewinder interface {
 // Seek restores the exact decode state, including the delta-decoder context
 // of compact traces.
 type Mark struct {
+	// Chunk is the chunk index of a compact trace's cursor; Pos is the
+	// offset in that chunk (or in the event slice of a Buffer).
+	Chunk    int
 	Pos      int
 	Read     int
 	PrevAddr uint32
